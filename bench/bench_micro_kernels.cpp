@@ -32,6 +32,7 @@
 #include "src/common/stats.hpp"
 #include "src/core/initializer.hpp"
 #include "src/core/qat_trainer.hpp"
+#include "src/hdc/fp_search.hpp"
 #include "src/hdc/id_level_encoder.hpp"
 #include "src/hdc/projection_encoder.hpp"
 #include "src/imc/noise.hpp"
@@ -474,6 +475,60 @@ PathComparison compare_kmeans_assign(std::size_t n, std::size_t k,
   return cmp;
 }
 
+// FP validation of the multi-centroid AM (core::initialize's allocation
+// rounds): the per-row loop predict_fp ran before the batched kernel — every
+// centroid re-summed per query, one branch per query bit, first max from
+// -inf — against hdc::fp_bipolar_argmax over the whole batch. Winning slots
+// must agree exactly.
+PathComparison compare_fp_validate(std::size_t rows, std::size_t dim,
+                                   std::size_t columns, int reps) {
+  common::Rng rng(8);
+  const common::Matrix plane = common::Matrix::random_normal(columns, dim, rng);
+  std::vector<common::BitVector> qs;
+  qs.reserve(rows);
+  for (std::size_t q = 0; q < rows; ++q)
+    qs.push_back(common::BitVector::random(dim, rng));
+  std::vector<std::uint32_t> all(columns);
+  for (std::size_t c = 0; c < columns; ++c)
+    all[c] = static_cast<std::uint32_t>(c);
+
+  PathComparison cmp;
+  cmp.backend = common::batch_kernel_name();
+  std::vector<std::uint32_t> scalar_out(rows);
+  const double t_scalar = best_seconds(reps, [&] {
+    std::vector<float> scores(columns);
+    for (std::size_t q = 0; q < rows; ++q) {
+      for (std::size_t c = 0; c < columns; ++c) {
+        const auto row = plane.row(c);
+        float set_sum = 0.0f;
+        float total = 0.0f;
+        for (std::size_t j = 0; j < dim; ++j) {
+          total += row[j];
+          if (qs[q].get(j)) set_sum += row[j];
+        }
+        scores[c] = 2.0f * set_sum - total;
+      }
+      std::uint32_t best = 0;
+      float best_score = -std::numeric_limits<float>::infinity();
+      for (std::size_t c = 0; c < columns; ++c) {
+        if (scores[c] > best_score) {
+          best_score = scores[c];
+          best = static_cast<std::uint32_t>(c);
+        }
+      }
+      scalar_out[q] = best;
+    }
+  });
+  std::vector<std::uint32_t> batch_out(rows);
+  const double t_batch = best_seconds(reps, [&] {
+    hdc::fp_bipolar_argmax(plane, all, qs, batch_out);
+  });
+  cmp.scalar_per_sec = static_cast<double>(rows) / t_scalar;
+  cmp.batch_per_sec = static_cast<double>(rows) / t_batch;
+  cmp.bit_identical = (scalar_out == batch_out);
+  return cmp;
+}
+
 // The serve path end to end: a steady stream of max-batch-sized cut batches
 // through api::BatchServer, unsharded (one fused predict_batch per cut, the
 // "scalar" column) against the server-owned shard worker set (row-split
@@ -588,6 +643,9 @@ int run_json_suite() {
   const auto part = compare_partitioned_search(1024, 16, 4, 256, /*reps=*/5);
   const auto noise = compare_noise_inject(256, 2048, 0.01, /*reps=*/7);
   const auto assign = compare_kmeans_assign(2048, 32, 256, /*reps=*/5);
+  // FP validation at perfbench's serve shape: 960 training rows, D=8192,
+  // C=32.
+  const auto fp_validate = compare_fp_validate(960, 8192, 32, /*reps=*/3);
   // Serve front end: unsharded BatchServer vs the server-owned shard set.
   // The shard count is pinned so the checked-in baselines and every CI
   // runner measure the same configuration (a host-dependent count would
@@ -630,6 +688,8 @@ int run_json_suite() {
   write_comparison(f, "noise_inject", noise, 2048, 256, 1, "rows",
                    /*trailing_comma=*/true);
   write_comparison(f, "kmeans_assign", assign, 256, 32, 2048, "centroids",
+                   /*trailing_comma=*/true);
+  write_comparison(f, "fp_validate", fp_validate, 8192, 32, 960, "centroids",
                    /*trailing_comma=*/true);
   write_comparison(f, "serve_sharded", serve, 2048, serve_shards, 512,
                    "shards", /*trailing_comma=*/true);
@@ -694,6 +754,12 @@ int run_json_suite() {
       assign.scalar_per_sec, assign.batch_per_sec, assign.speedup(),
       assign.bit_identical ? "yes" : "NO");
   std::printf(
+      "FP validation N=960 D=8192 C=32:\n"
+      "  per-row %.0f q/s | batched %.0f q/s | speedup %.2fx | "
+      "bit-identical %s\n",
+      fp_validate.scalar_per_sec, fp_validate.batch_per_sec,
+      fp_validate.speedup(), fp_validate.bit_identical ? "yes" : "NO");
+  std::printf(
       "sharded serve (BatchServer) D=2048 C=256 cut=64 shards=%zu:\n"
       "  unsharded %.0f q/s | sharded %.0f q/s | speedup %.2fx | "
       "bit-identical %s\n",
@@ -735,7 +801,8 @@ int run_json_suite() {
   std::printf("wrote %s\n", path.c_str());
   return (search.bit_identical && table.bit_identical &&
           encode.bit_identical && part.bit_identical && noise.bit_identical &&
-          assign.bit_identical && serve.bit_identical && remat.bit_identical)
+          assign.bit_identical && fp_validate.bit_identical &&
+          serve.bit_identical && remat.bit_identical)
              ? 0
              : 1;
 }

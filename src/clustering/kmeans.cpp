@@ -108,9 +108,18 @@ void assign_batch(const Matrix& centroids, const Matrix& points,
   // float accumulator per lane: every lane reproduces the scalar kernel's
   // summation order exactly (same float adds, same sequence), so the
   // scores — and the strict-greater, ascending-centroid argmax — are
-  // bit-identical to assign_point, while the kLanes chains vectorize into
-  // one FMA per dimension step.
+  // bit-identical to assign_point. kPointBlock points share each tile
+  // pass with their own lanes, so the dimension loop carries kPointBlock
+  // independent add chains per centroid lane instead of one.
   constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kPointBlock = 4;
+  // kLanes floats with lane-wise IEEE arithmetic (a GNU vector, like the
+  // rest of the library's GCC/Clang-only code). Spelled as a vector so the
+  // compiler vectorizes across lanes: with plain per-lane arrays it
+  // vectorized the dimension loop as an in-order reduction instead, no
+  // faster than the scalar kernel.
+  typedef float LaneVec
+      __attribute__((vector_size(kLanes * sizeof(float)), aligned(4)));
   const std::size_t tiles = (k + kLanes - 1) / kLanes;
   std::vector<float> tiled(tiles * dim * kLanes, 0.0f);
   for (std::size_t c = 0; c < k; ++c) {
@@ -129,63 +138,75 @@ void assign_batch(const Matrix& centroids, const Matrix& points,
       centroid_norm[c] = common::norm(centroids.row(c));
   }
 
-  // Per-point work is independent (each i writes only out[i]), so point
-  // blocks fan out across the pool; results do not depend on the split.
-  common::parallel_for(0, n, [&](std::size_t i) {
-    std::array<float, kLanes> acc;
-    const auto x = points.row(i);
-    const float x_norm =
-        metric == Metric::kCosine ? common::norm(x) : 0.0f;
-    double best_score = 0.0;
-    std::size_t best = 0;
-    bool first = true;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const float* tile = tiled.data() + t * dim * kLanes;
-      acc.fill(0.0f);
-      if (metric == Metric::kEuclidean) {
-        for (std::size_t j = 0; j < dim; ++j) {
-          const float xv = x[j];
-          const float* col = tile + j * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const float d = col[l] - xv;
-            acc[l] += d * d;
+  // Point blocks are independent (each writes only its own out[i]), so
+  // they fan out across the pool from two blocks up: a per-class cloud of
+  // a few hundred points is still split. Results do not depend on the
+  // split.
+  const std::size_t blocks = (n + kPointBlock - 1) / kPointBlock;
+  common::parallel_for(
+      0, blocks,
+      [&](std::size_t b) {
+        const std::size_t i0 = b * kPointBlock;
+        const std::size_t count = std::min(kPointBlock, n - i0);
+        // A short last block re-scores its final point in the spare slots;
+        // only the first `count` slots are read back.
+        std::array<const float*, kPointBlock> x;
+        std::array<float, kPointBlock> x_norm{};
+        for (std::size_t p = 0; p < kPointBlock; ++p) {
+          const auto row = points.row(i0 + std::min(p, count - 1));
+          x[p] = row.data();
+          if (metric == Metric::kCosine) x_norm[p] = common::norm(row);
+        }
+        LaneVec acc[kPointBlock];
+        std::array<double, kPointBlock> best_score{};
+        std::array<std::size_t, kPointBlock> best{};
+        for (std::size_t t = 0; t < tiles; ++t) {
+          const LaneVec* tile =
+              reinterpret_cast<const LaneVec*>(tiled.data() + t * dim * kLanes);
+          for (auto& a : acc) a = LaneVec{};
+          if (metric == Metric::kEuclidean) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              for (std::size_t p = 0; p < kPointBlock; ++p) {
+                const LaneVec d = tile[j] - x[p][j];
+                acc[p] += d * d;
+              }
+            }
+          } else {
+            for (std::size_t j = 0; j < dim; ++j)
+              for (std::size_t p = 0; p < kPointBlock; ++p)
+                acc[p] += tile[j] * x[p][j];
+          }
+          const std::size_t lanes = std::min(kLanes, k - t * kLanes);
+          for (std::size_t p = 0; p < count; ++p) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+              const std::size_t c = t * kLanes + l;
+              double s = 0.0;
+              switch (metric) {
+                case Metric::kDotSimilarity:
+                  s = acc[p][l];
+                  break;
+                case Metric::kEuclidean:
+                  s = -static_cast<double>(acc[p][l]);
+                  break;
+                case Metric::kCosine: {
+                  const float nc = centroid_norm[c];
+                  s = (nc == 0.0f || x_norm[p] == 0.0f)
+                          ? -1.0
+                          : acc[p][l] / (static_cast<double>(nc) * x_norm[p]);
+                  break;
+                }
+              }
+              if (c == 0 || s > best_score[p]) {
+                best_score[p] = s;
+                best[p] = c;
+              }
+            }
           }
         }
-      } else {
-        for (std::size_t j = 0; j < dim; ++j) {
-          const float xv = x[j];
-          const float* col = tile + j * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) acc[l] += col[l] * xv;
-        }
-      }
-      const std::size_t lanes = std::min(kLanes, k - t * kLanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t c = t * kLanes + l;
-        double s = 0.0;
-        switch (metric) {
-          case Metric::kDotSimilarity:
-            s = acc[l];
-            break;
-          case Metric::kEuclidean:
-            s = -static_cast<double>(acc[l]);
-            break;
-          case Metric::kCosine: {
-            const float nc = centroid_norm[c];
-            s = (nc == 0.0f || x_norm == 0.0f)
-                    ? -1.0
-                    : acc[l] / (static_cast<double>(nc) * x_norm);
-            break;
-          }
-        }
-        if (first || s > best_score) {
-          best_score = s;
-          best = c;
-          first = false;
-        }
-      }
-    }
-    out[i] = static_cast<std::uint32_t>(best);
-  });
+        for (std::size_t p = 0; p < count; ++p)
+          out[i0 + p] = static_cast<std::uint32_t>(best[p]);
+      },
+      /*grain=*/2);
 }
 
 namespace detail {

@@ -65,7 +65,8 @@ std::size_t assign_point(const common::Matrix& centroids,
 /// points.row(i), metric) for every row of `points`. Centroids are
 /// repacked into dimension-major lane tiles scored with one independent
 /// accumulator per centroid lane — the same tile structure as the batched
-/// AM search — and point blocks fan out across the thread pool. Every
+/// AM search. Four points share each tile pass, and blocks of four fan out
+/// across the thread pool even for clouds of a few hundred points. Every
 /// lane reproduces the scalar kernel's float summation order and the
 /// centroids are compared in ascending order with a strict-greater,
 /// first-wins argmax, so the result is bit-identical to the per-point

@@ -20,39 +20,39 @@ using hdc::EncodedDataset;
 
 struct ClassState {
   std::vector<std::size_t> sample_indices;  // into the encoded dataset
-  common::Matrix points;                    // bipolar cloud, built lazily
   std::size_t budget = 0;                   // centroids assigned to the class
-  bool dirty = true;                        // needs (re-)clustering
   common::Matrix centroids;                 // budget x D after clustering
 };
 
 /// Runs K-means for one class with its current budget. Budgets are clamped
-/// to the class sample count by the caller. The assignment step inside
-/// clustering::kmeans runs through the blocked clustering::assign_batch
-/// kernel, so every per-class clustering job here — the initializer's hot
-/// loop, re-run per allocation round — scores its point cloud against the
-/// centroid block in cache-resident tiles rather than per point.
-void recluster(ClassState& st, const MemhdConfig& cfg, Rng& rng) {
+/// to the class sample count by the caller. The class's bipolar point cloud
+/// is built here and dropped on return, so only the class being clustered
+/// holds one. The assignment step inside clustering::kmeans runs through
+/// the blocked clustering::assign_batch kernel, which splits even a small
+/// per-class cloud across the thread pool.
+void recluster(ClassState& st, const EncodedDataset& train,
+               const MemhdConfig& cfg, Rng& rng) {
   MEMHD_EXPECTS(st.budget >= 1);
-  MEMHD_EXPECTS(st.budget <= st.points.rows());
+  MEMHD_EXPECTS(st.budget <= st.sample_indices.size());
   clustering::KMeansConfig kc;
   kc.k = st.budget;
   kc.metric = clustering::Metric::kDotSimilarity;
   kc.seeding = clustering::Seeding::kKMeansPlusPlus;
   kc.max_iterations = cfg.kmeans_max_iterations;
-  const auto result = clustering::kmeans(st.points, kc, rng);
-  st.centroids = result.centroids;
-  st.dirty = false;
+  st.centroids =
+      clustering::kmeans(train.to_bipolar_matrix(st.sample_indices), kc, rng)
+          .centroids;
 }
 
-
 /// Confusion matrix of the FP AM over the training set (paper validates the
-/// pre-quantization model during allocation, Fig. 2-(a)).
+/// pre-quantization model during allocation, Fig. 2-(a)), scored as one
+/// batch.
 common::ConfusionMatrix validate_fp(const MultiCentroidAM& am,
                                     const EncodedDataset& train) {
   common::ConfusionMatrix cm(am.num_classes());
+  const auto predicted = am.predict_fp_batch(train.hypervectors);
   for (std::size_t i = 0; i < train.size(); ++i)
-    cm.add(train.labels[i], am.predict_fp(train.hypervectors[i]));
+    cm.add(train.labels[i], predicted[i]);
   return cm;
 }
 
@@ -130,7 +130,6 @@ std::vector<ClassState> build_class_states(const EncodedDataset& train,
   for (std::size_t c = 0; c < num_classes; ++c) {
     classes[c].sample_indices = train.indices_of_class(static_cast<Label>(c));
     MEMHD_EXPECTS(!classes[c].sample_indices.empty());
-    classes[c].points = train.to_bipolar_matrix(classes[c].sample_indices);
   }
   return classes;
 }
@@ -162,7 +161,7 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
                                                    cfg.initial_ratio);
   for (auto& st : classes) {
     st.budget = std::min(n, st.sample_indices.size());
-    recluster(st, cfg, rng);
+    recluster(st, train, cfg, rng);
   }
 
   std::size_t used = 0;
@@ -177,7 +176,7 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
   while (used < cfg.columns) {
     // Snapshot the current AM on the real column budget for validation.
     // (Slots beyond `used` are still unassigned; validation only consults
-    // assigned ones via predict_fp.)
+    // assigned ones via predict_fp_batch.)
     MultiCentroidAM probe(k, train.dim, cfg.columns);
     {
       std::size_t col = 0;
@@ -197,10 +196,10 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
     const std::size_t granted =
         std::accumulate(extra.begin(), extra.end(), std::size_t{0});
     if (granted == 0) {
-      // No class can absorb more centroids (tiny datasets). Duplicate the
-      // largest classes' centroid budgets conceptually by re-assigning the
-      // leftover slots to the biggest classes round-robin; K-means cannot
-      // split further, so copy existing centroids. Keeps full utilization.
+      // No class can absorb more centroids (every class has as many
+      // centroids as samples; tiny datasets). K-means cannot split further,
+      // so the materialization below pads the leftover slots with copies
+      // of existing centroids. Keeps full utilization.
       MEMHD_LOG_WARN(
           "cluster allocation stalled with %zu columns left; duplicating",
           cfg.columns - used);
@@ -209,15 +208,15 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
     for (std::size_t c = 0; c < k; ++c) {
       if (extra[c] == 0) continue;
       classes[c].budget += extra[c];
-      classes[c].dirty = true;
       used += extra[c];
-      recluster(classes[c], cfg, rng);
+      recluster(classes[c], train, cfg, rng);
     }
   }
 
   // Materialize into the AM. If allocation stalled (pathological small
-  // datasets), pad by duplicating centroids of the largest classes so the
-  // array is still fully utilized.
+  // datasets), pad the leftover slots round-robin over the classes in index
+  // order (class 0, 1, 2, ...), each slot copying one of its class's
+  // existing centroids, so the array is still fully utilized.
   {
     std::size_t col = 0;
     for (std::size_t c = 0; c < k; ++c)

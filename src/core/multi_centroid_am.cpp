@@ -6,6 +6,7 @@
 #include "src/common/assert.hpp"
 #include "src/common/bitops_batch.hpp"
 #include "src/common/stats.hpp"
+#include "src/hdc/fp_search.hpp"
 #include "src/search/cascade.hpp"
 
 namespace memhd::core {
@@ -163,22 +164,6 @@ void MultiCentroidAM::scores_batch(std::span<const common::BitVector> queries,
                                   out);
 }
 
-void MultiCentroidAM::scores_fp(const common::BitVector& query,
-                                std::vector<float>& out) const {
-  MEMHD_EXPECTS(query.size() == dim_);
-  out.resize(columns_);
-  for (std::size_t col = 0; col < columns_; ++col) {
-    const auto row = fp_.row(col);
-    float set_sum = 0.0f;
-    float total = 0.0f;
-    for (std::size_t j = 0; j < dim_; ++j) {
-      total += row[j];
-      if (query.get(j)) set_sum += row[j];
-    }
-    out[col] = 2.0f * set_sum - total;  // dot with bipolar(query)
-  }
-}
-
 std::size_t MultiCentroidAM::best_centroid(
     std::span<const std::uint32_t> scores) const {
   MEMHD_EXPECTS(scores.size() == columns_);
@@ -239,19 +224,23 @@ std::vector<data::Label> MultiCentroidAM::predict_batch(
 }
 
 data::Label MultiCentroidAM::predict_fp(const common::BitVector& query) const {
-  std::vector<float> scores;
-  scores_fp(query, scores);
-  std::size_t best = 0;
-  float best_score = -std::numeric_limits<float>::infinity();
-  for (std::size_t col = 0; col < columns_; ++col) {
-    if (owner_[col] == kUnassigned) continue;  // skip unassigned slots
-    if (scores[col] > best_score) {
-      best_score = scores[col];
-      best = col;
-    }
+  return predict_fp_batch(std::span<const common::BitVector>(&query, 1))[0];
+}
+
+std::vector<data::Label> MultiCentroidAM::predict_fp_batch(
+    std::span<const common::BitVector> queries) const {
+  std::vector<std::uint32_t> assigned;
+  for (std::size_t col = 0; col < columns_; ++col)
+    if (owner_[col] != kUnassigned)
+      assigned.push_back(static_cast<std::uint32_t>(col));
+  std::vector<std::uint32_t> best(queries.size());
+  hdc::fp_bipolar_argmax(fp_, assigned, queries, best);
+  std::vector<data::Label> out(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    MEMHD_ENSURES(owner_[best[q]] != kUnassigned);
+    out[q] = owner_[best[q]];
   }
-  MEMHD_ENSURES(owner_[best] != kUnassigned);
-  return owner_[best];
+  return out;
 }
 
 data::Label MultiCentroidAM::predict_with_metric(
@@ -300,9 +289,10 @@ double evaluate_fp(const MultiCentroidAM& am,
                    const hdc::EncodedDataset& test) {
   MEMHD_EXPECTS(am.dim() == test.dim);
   if (test.empty()) return 0.0;
+  const auto predicted = am.predict_fp_batch(test.hypervectors);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < test.size(); ++i)
-    if (am.predict_fp(test.hypervectors[i]) == test.labels[i]) ++correct;
+    if (predicted[i] == test.labels[i]) ++correct;
   return static_cast<double>(correct) / static_cast<double>(test.size());
 }
 

@@ -105,10 +105,6 @@ class MultiCentroidAM {
   /// query block (src/common/bitops_batch.hpp).
   void scores_batch(std::span<const common::BitVector> queries,
                     std::vector<std::uint32_t>& out) const;
-  /// FP dot similarity of the bipolar interpretation of `query` against
-  /// every FP centroid (used during initialization, pre-quantization).
-  void scores_fp(const common::BitVector& query,
-                 std::vector<float>& out) const;
 
   /// Best centroid slot overall (Eq. 4's argmax over i, j).
   std::size_t best_centroid(std::span<const std::uint32_t> scores) const;
@@ -130,8 +126,17 @@ class MultiCentroidAM {
       std::span<const common::BitVector> queries,
       const search::CascadeSearcher& cascade,
       search::CascadeStats* stats = nullptr) const;
-  /// Predicted class via FP search (initialization-time validation).
+  /// Predicted class via FP search (initialization-time validation): the
+  /// owner of the first assigned slot with the highest dot similarity
+  /// between its FP centroid and the bipolar interpretation of `query`.
+  /// Unassigned slots never compete.
   data::Label predict_fp(const common::BitVector& query) const;
+  /// Batched predict_fp over hdc::fp_bipolar_argmax (src/hdc/fp_search.hpp):
+  /// the same scores and first-max argmax per query, with the FP plane
+  /// copied dim-major once per call and query blocks spread over the
+  /// thread pool.
+  std::vector<data::Label> predict_fp_batch(
+      std::span<const common::BitVector> queries) const;
 
   /// Alternative similarity measures for associative search (paper §II-D
   /// discusses Hamming and cosine as alternatives to dot similarity; dot is

@@ -3,6 +3,7 @@
 #include "src/common/assert.hpp"
 #include "src/common/bitops_batch.hpp"
 #include "src/common/stats.hpp"
+#include "src/hdc/fp_search.hpp"
 
 namespace memhd::hdc {
 
@@ -55,18 +56,8 @@ void AssociativeMemory::scores_fp(const common::BitVector& query,
                                   std::vector<float>& out) const {
   MEMHD_EXPECTS(query.size() == dim_);
   out.resize(num_classes_);
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    // dot(C_fp, bipolar(query)) without materializing the bipolar vector:
-    // sum_{j set} C[j] - sum_{j clear} C[j] = 2 * sum_{j set} C[j] - sum_j C[j].
-    const auto row = fp_.row(c);
-    float set_sum = 0.0f;
-    float total = 0.0f;
-    for (std::size_t j = 0; j < dim_; ++j) {
-      total += row[j];
-      if (query.get(j)) set_sum += row[j];
-    }
-    out[c] = 2.0f * set_sum - total;
-  }
+  for (std::size_t c = 0; c < num_classes_; ++c)
+    out[c] = fp_bipolar_dot(fp_.row(c), query);
 }
 
 void AssociativeMemory::scores_binary(const common::BitVector& query,

@@ -47,7 +47,8 @@ class AssociativeMemory {
   /// binarize(). Shapes must match this AM.
   void restore(const common::Matrix& fp, const common::BitMatrix& binary);
 
-  /// FP dot-similarity scores of a bipolar query against every class vector.
+  /// FP dot-similarity scores of a bipolar query against every class vector
+  /// (hdc::fp_bipolar_dot per class, src/hdc/fp_search.hpp).
   void scores_fp(const common::BitVector& query,
                  std::vector<float>& out) const;
   /// Binary dot-similarity (popcount AND) against every binary class vector.

@@ -1,6 +1,7 @@
 #include "src/hdc/encoded_dataset.hpp"
 
 #include "src/common/assert.hpp"
+#include "src/common/bitops.hpp"
 
 namespace memhd::hdc {
 
@@ -18,8 +19,14 @@ common::Matrix EncodedDataset::to_bipolar_matrix(
   for (std::size_t r = 0; r < indices.size(); ++r) {
     MEMHD_EXPECTS(indices[r] < hypervectors.size());
     const auto& hv = hypervectors[indices[r]];
+    MEMHD_EXPECTS(hv.size() == dim);
+    const std::uint64_t* words = hv.words();
     auto row = m.row(r);
-    for (std::size_t j = 0; j < dim; ++j) row[j] = hv.get(j) ? 1.0f : -1.0f;
+    for (std::size_t j = 0; j < dim; ++j) {
+      const bool bit = (words[j / common::kBitsPerWord] >>
+                        (j % common::kBitsPerWord)) & 1ULL;
+      row[j] = bit ? 1.0f : -1.0f;
+    }
   }
   return m;
 }

@@ -253,9 +253,13 @@ TEST(AssignBatch, BitIdenticalToPerPointAssignAcrossMetricsAndShapes) {
   Rng rng(31);
   for (const auto metric :
        {Metric::kDotSimilarity, Metric::kEuclidean, Metric::kCosine}) {
-    // Shapes straddle the point/centroid block sizes (128 and 16).
+    // Shapes straddle the 8-lane centroid tiles (k = 8, 9, 16, 17, 33) and
+    // the 4-point blocks (n = 3, 4, 5, 9), with n below the thread pool's
+    // worker count (n = 1, 2, 3) and per-class-cloud sizes the pool splits.
     const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
-        {1, 1, 3}, {7, 3, 5}, {128, 16, 8}, {129, 17, 8}, {300, 33, 12}};
+        {1, 1, 3},     {2, 9, 4},     {3, 2, 7},   {4, 8, 1},
+        {5, 17, 6},    {7, 3, 5},     {9, 16, 65}, {128, 16, 8},
+        {129, 17, 8},  {150, 5, 200}, {300, 33, 12}};
     for (const auto& [n, k, dim] : shapes) {
       Matrix pts = Matrix::random_normal(n, dim, rng);
       Matrix centroids = Matrix::random_normal(k, dim, rng);
