@@ -157,7 +157,7 @@ void assign_batch(const Matrix& centroids, const Matrix& points,
           x[p] = row.data();
           if (metric == Metric::kCosine) x_norm[p] = common::norm(row);
         }
-        LaneVec acc[kPointBlock];
+        LaneVec acc[kPointBlock] = {};
         std::array<double, kPointBlock> best_score{};
         std::array<std::size_t, kPointBlock> best{};
         for (std::size_t t = 0; t < tiles; ++t) {

@@ -26,12 +26,13 @@ struct ClassState {
 
 /// Runs K-means for one class with its current budget. Budgets are clamped
 /// to the class sample count by the caller. The class's bipolar point cloud
-/// is built here and dropped on return, so only the class being clustered
-/// holds one. The assignment step inside clustering::kmeans runs through
-/// the blocked clustering::assign_batch kernel, which splits even a small
+/// is expanded here into `cloud`, one buffer every recluster of the call
+/// reuses, so the initializer holds a single cloud rather than one per
+/// class. The assignment step inside clustering::kmeans runs through the
+/// blocked clustering::assign_batch kernel, which splits even a small
 /// per-class cloud across the thread pool.
 void recluster(ClassState& st, const EncodedDataset& train,
-               const MemhdConfig& cfg, Rng& rng) {
+               const MemhdConfig& cfg, Rng& rng, common::Matrix& cloud) {
   MEMHD_EXPECTS(st.budget >= 1);
   MEMHD_EXPECTS(st.budget <= st.sample_indices.size());
   clustering::KMeansConfig kc;
@@ -39,9 +40,8 @@ void recluster(ClassState& st, const EncodedDataset& train,
   kc.metric = clustering::Metric::kDotSimilarity;
   kc.seeding = clustering::Seeding::kKMeansPlusPlus;
   kc.max_iterations = cfg.kmeans_max_iterations;
-  st.centroids =
-      clustering::kmeans(train.to_bipolar_matrix(st.sample_indices), kc, rng)
-          .centroids;
+  train.to_bipolar_matrix(st.sample_indices, cloud);
+  st.centroids = clustering::kmeans(cloud, kc, rng).centroids;
 }
 
 /// Confusion matrix of the FP AM over the training set (paper validates the
@@ -155,13 +155,14 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
   Rng rng(cfg.seed ^ 0xC1C1C1C1ULL);
 
   auto classes = build_class_states(train, k);
+  common::Matrix cloud;  // the clustered class's bipolar points
 
   // Phase 1: class-wise clustering with n columns per class.
   const std::size_t n = initial_clusters_per_class(cfg.columns, k,
                                                    cfg.initial_ratio);
   for (auto& st : classes) {
     st.budget = std::min(n, st.sample_indices.size());
-    recluster(st, train, cfg, rng);
+    recluster(st, train, cfg, rng, cloud);
   }
 
   std::size_t used = 0;
@@ -209,7 +210,7 @@ MultiCentroidAM initialize_clustering(const EncodedDataset& train,
       if (extra[c] == 0) continue;
       classes[c].budget += extra[c];
       used += extra[c];
-      recluster(classes[c], train, cfg, rng);
+      recluster(classes[c], train, cfg, rng, cloud);
     }
   }
 

@@ -29,6 +29,11 @@ struct EncodedDataset {
   /// Bipolar float matrix view (+1/-1 per bit) of the selected samples —
   /// the representation K-means clusters (paper Fig. 2-(a)).
   common::Matrix to_bipolar_matrix(const std::vector<std::size_t>& indices) const;
+  /// Same rows written into `out`, which is reallocated only when its shape
+  /// is not indices.size() x dim: a caller expanding one class after
+  /// another reuses a single buffer.
+  void to_bipolar_matrix(const std::vector<std::size_t>& indices,
+                         common::Matrix& out) const;
 
   /// Bipolar float matrix of every sample.
   common::Matrix to_bipolar_matrix() const;

@@ -1,10 +1,12 @@
 #include "src/hdc/fp_search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <vector>
 
 #include "src/common/assert.hpp"
+#include "src/common/bitops.hpp"
 #include "src/common/parallel.hpp"
 
 namespace memhd::hdc {
@@ -15,13 +17,26 @@ namespace {
 /// query block re-reads its tile once per query, so the tile stays in L2.
 constexpr std::size_t kTileFloats = 32768;
 
-}  // namespace
+/// Calls visit(j) for every set bit j of `words[w_begin, w_end)`, in
+/// ascending j. Bits past a BitVector's size are clear by its storage
+/// invariant, so whole words can be walked.
+template <typename Visit>
+void for_each_set_bit(const std::uint64_t* words, std::size_t w_begin,
+                      std::size_t w_end, Visit&& visit) {
+  for (std::size_t w = w_begin; w < w_end; ++w)
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+      visit(w * common::kBitsPerWord +
+            static_cast<std::size_t>(std::countr_zero(bits)));
+}
 
+/// sum_j row[j], accumulated in ascending j.
 float fp_row_total(std::span<const float> row) {
   float total = 0.0f;
   for (const float v : row) total += v;
   return total;
 }
+
+}  // namespace
 
 float fp_bipolar_dot(std::span<const float> row,
                      const common::BitVector& query) {

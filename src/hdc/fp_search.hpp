@@ -13,34 +13,18 @@
 // alone. Both entry points below perform exactly those adds in exactly
 // that order, so a row scored alone (fp_bipolar_dot) and a batch scored
 // against a dim-major copy of the plane (fp_bipolar_argmax) agree to the
-// bit, as does the branch-per-bit loop the two replaced.
+// bit with each other and with a plain loop over j that adds row[j] to
+// the total always and to the set sum when bit j is set.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
 #include "src/common/bit_vector.hpp"
-#include "src/common/bitops.hpp"
 #include "src/common/matrix.hpp"
 
 namespace memhd::hdc {
-
-/// Calls visit(j) for every set bit j of `words[w_begin, w_end)`, in
-/// ascending j. Bits past a BitVector's size are clear by its storage
-/// invariant, so whole words can be walked.
-template <typename Visit>
-inline void for_each_set_bit(const std::uint64_t* words, std::size_t w_begin,
-                             std::size_t w_end, Visit&& visit) {
-  for (std::size_t w = w_begin; w < w_end; ++w)
-    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
-      visit(w * common::kBitsPerWord +
-            static_cast<std::size_t>(std::countr_zero(bits)));
-}
-
-/// sum_j row[j], accumulated in ascending j.
-float fp_row_total(std::span<const float> row);
 
 /// dot(row, bipolar(query)) for one row; query.size() must equal
 /// row.size().
