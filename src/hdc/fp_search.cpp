@@ -72,8 +72,10 @@ void fp_bipolar_argmax(const common::Matrix& plane,
 
   const std::size_t words = common::words_for_bits(dim);
   const std::size_t tile_words = std::max<std::size_t>(
-      1, kTileFloats / (common::kBitsPerWord * std::max<std::size_t>(1, width)));
-  const std::size_t blocks = (queries.size() + kFpQueryBlock - 1) / kFpQueryBlock;
+      1, kTileFloats /
+             (common::kBitsPerWord * std::max<std::size_t>(1, width)));
+  const std::size_t blocks =
+      (queries.size() + kFpQueryBlock - 1) / kFpQueryBlock;
   common::parallel_for(
       0, blocks,
       [&](std::size_t b) {
