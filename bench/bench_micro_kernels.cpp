@@ -476,10 +476,10 @@ PathComparison compare_kmeans_assign(std::size_t n, std::size_t k,
 }
 
 // FP validation of the multi-centroid AM (core::initialize's allocation
-// rounds): the per-row loop predict_fp ran before the batched kernel — every
-// centroid re-summed per query, one branch per query bit, first max from
-// -inf — against hdc::fp_bipolar_argmax over the whole batch. Winning slots
-// must agree exactly.
+// rounds): a per-row reference loop — every centroid re-summed per query,
+// one branch per query bit, first max from -inf — against
+// hdc::fp_bipolar_argmax over the whole batch. Winning slots must agree
+// exactly.
 PathComparison compare_fp_validate(std::size_t rows, std::size_t dim,
                                    std::size_t columns, int reps) {
   common::Rng rng(8);
