@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,44 @@ TEST(ApiRegistry, RematOptionFlowsThroughRegistryBitIdentically) {
     EXPECT_GT(mm.encoder_resident_bytes, rm.encoder_resident_bytes * 100)
         << name;
   }
+}
+
+// The MHDAPI03 baseline frame header (magic through the two basis bytes at
+// offsets 69-70) is a function of the options and shape alone. A change
+// here breaks every saved baseline model.
+std::string basichdc_frame_hex(hdc::BasisKind basis) {
+  const auto split = testing::tiny_multimodal(/*seed=*/29,
+                                              /*train_per_class=*/10,
+                                              /*test_per_class=*/5);
+  auto opts = small_options(core::ModelKind::kBasicHDC);
+  opts.basis = basis;
+  auto model = api::make("basichdc", split.train.num_features(),
+                         split.train.num_classes(), opts);
+  model->fit(split.train);
+  std::ostringstream out(std::ios::binary);
+  api::save(*model, out);
+  return testing::hex_prefix(out.str(), 71);
+}
+
+TEST(ApiSerializeLayout, Mhdapi03BaselineFrameHeader) {
+  const std::string frame =
+      "4d48444150493033"  // magic "MHDAPI03"
+      "00"                // u8 kind tag (BasicHDC)
+      "0001000000000000"  // u64 dim 256
+      "0000000000000000"  // u64 epochs 0
+      "1000000000000000"  // u64 num_levels 16
+      "0400000000000000"  // u64 n_models 4
+      "0900000000000000"  // u64 seed 9
+      "4000000000000000"  // u64 num_features 64
+      "0400000000000000"  // u64 num_classes 4
+      "cdcc4c3d";         // f32 learning_rate 0.05
+  // Then u8 basis and u8 derivation (always 0, the counter stream).
+  const std::string mat = basichdc_frame_hex(hdc::BasisKind::kMaterialized);
+  EXPECT_EQ(mat.substr(0, 138), frame);
+  EXPECT_EQ(mat.substr(138), "0000");
+  const std::string rem = basichdc_frame_hex(hdc::BasisKind::kRematerialized);
+  EXPECT_EQ(rem.substr(0, 138), frame);
+  EXPECT_EQ(rem.substr(138), "0100");
 }
 
 TEST(ApiSerialize, LegacyBaselineFrameLoadsWithSequentialDerivation) {

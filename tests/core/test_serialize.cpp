@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "src/core/model.hpp"
@@ -206,6 +207,75 @@ TEST(Serialize, RematLegacyComboRejectedAsCorrupt) {
   }
   EXPECT_THROW(load_model(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// Hex of the first `n` bytes a save_model call writes.
+std::string header_hex(const MemhdModel& model, std::size_t n) {
+  std::ostringstream out(std::ios::binary);
+  save_model(model, out);
+  return testing::hex_prefix(out.str(), n);
+}
+
+// The MEMHD003 header (magic through the cascade block, 115 bytes) is a
+// function of the config and shape alone, so these pins are the same on
+// every kernel backend and thread count. A change here breaks every saved
+// model.
+TEST(SerializeLayout, Memhd003HeaderWithCascadeOff) {
+  const auto split = testing::tiny_separable();
+  MemhdModel model(small_config(), split.train.num_features(),
+                   split.train.num_classes());
+  model.fit(split.train);
+  const std::string want =
+      "4d454d4844303033"  // magic "MEMHD003"
+      "8000000000000000"  // u64 dim 128
+      "0c00000000000000"  // u64 columns 12
+      "2000000000000000"  // u64 num_features 32
+      "0300000000000000"  // u64 num_classes 3
+      "0500000000000000"  // u64 epochs 5
+      "0800000000000000"  // u64 kmeans_iters 8
+      "0b00000000000000"  // u64 seed 11
+      "cdccccccccccec3f"  // f64 initial_ratio 0.9
+      "cdcc4c3d"          // f32 learning_rate 0.05
+      "000002"            // u8 init, allocation, normalization (z-score)
+      "0000"              // u8 basis (materialized), derivation (counter)
+      "0001"              // u8 cascade enabled 0, mode 1 (threshold)
+      "000000000000c03f"  // f64 sample_fraction 0.125
+      "4000000000000000"  // u64 shortlist 64
+      "0000000000000000"  // u64 early_exit_margin 0
+      "deca050c00000000";  // u64 cascade seed 0xC05CADE
+  EXPECT_EQ(header_hex(model, 115), want);
+}
+
+TEST(SerializeLayout, Memhd003HeaderWithThresholdCascade) {
+  const auto split = testing::tiny_separable();
+  auto cfg = small_config();
+  cfg.cascade.enabled = true;
+  cfg.cascade.sample_fraction = 0.375;
+  cfg.cascade.shortlist = 9;
+  cfg.cascade.early_exit_margin = 5;
+  cfg.cascade.seed = 0xFEEDULL;
+  MemhdModel model(cfg, split.train.num_features(),
+                   split.train.num_classes());
+  model.fit(split.train);
+  const std::string want =
+      "4d454d4844303033"  // magic "MEMHD003"
+      "8000000000000000"  // u64 dim 128
+      "0c00000000000000"  // u64 columns 12
+      "2000000000000000"  // u64 num_features 32
+      "0300000000000000"  // u64 num_classes 3
+      "0500000000000000"  // u64 epochs 5
+      "0800000000000000"  // u64 kmeans_iters 8
+      "0b00000000000000"  // u64 seed 11
+      "cdccccccccccec3f"  // f64 initial_ratio 0.9
+      "cdcc4c3d"          // f32 learning_rate 0.05
+      "000002"            // u8 init, allocation, normalization (z-score)
+      "0000"              // u8 basis (materialized), derivation (counter)
+      "0101"              // u8 cascade enabled 1, mode 1 (threshold)
+      "000000000000d83f"  // f64 sample_fraction 0.375
+      "0900000000000000"  // u64 shortlist 9
+      "0500000000000000"  // u64 early_exit_margin 5
+      "edfe000000000000";  // u64 cascade seed 0xFEED
+  EXPECT_EQ(header_hex(model, 115), want);
 }
 
 TEST(Serialize, SaveUnfittedModelDies) {

@@ -100,4 +100,15 @@ hdc::EncodedDataset clustered_encoded(std::size_t per_class, std::size_t dim,
   return ds;
 }
 
+std::string hex_prefix(const std::string& bytes, std::size_t n) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (std::size_t i = 0; i < n && i < bytes.size(); ++i) {
+    const auto b = static_cast<unsigned char>(bytes[i]);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
 }  // namespace memhd::testing

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "src/data/dataset.hpp"
 #include "src/data/synthetic.hpp"
@@ -41,5 +42,9 @@ hdc::EncodedDataset clustered_encoded(std::size_t per_class, std::size_t dim,
                                       std::size_t modes,
                                       std::size_t noise_bits,
                                       std::uint64_t seed = 5);
+
+/// Lower-case hex of the first `n` bytes of `bytes` (all of them if
+/// shorter): the form the on-disk layout pins compare against.
+std::string hex_prefix(const std::string& bytes, std::size_t n);
 
 }  // namespace memhd::testing
