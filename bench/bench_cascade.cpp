@@ -5,13 +5,9 @@
 // queries: noised prototype copies, the regime associative recall serves):
 //
 //   * exhaustive q/s  — BatchScorer::dot_argmax over the full plane;
-//   * threshold q/s   — kThreshold cascade (1/8 sample, shortlist 64),
-//     with its shortlist hit-rate (fraction of queries whose pruned argmax
-//     equals the exhaustive one) and rescored row fraction;
-//   * exact q/s       — kExact cascade (3/4 sample, shortlist 128), with
-//     its certified early-exit and fallback rates. exact_identical records
-//     the bit-identity property over the measured batch and must be true
-//     on every machine and backend.
+//   * threshold q/s   — the cascade (1/8 sample, shortlist 64), with its
+//     shortlist hit-rate (fraction of queries whose pruned argmax equals
+//     the exhaustive one) and rescored row fraction.
 //
 // A fitted-model section reports end-to-end accuracy with the cascade off
 // vs. on (threshold mode) on held-out data: the measured accuracy delta
@@ -19,8 +15,8 @@
 //
 // Writes BENCH_cascade.json (MEMHD_BENCH_JSON overrides), gated by
 // tools/check_bench_regression.py ("bench": "cascade"): machine-independent
-// checks (exact identity, hit-rate floor, fallback cap, pruning power)
-// always run; speedups are reported for the record.
+// checks (hit-rate floor, pruning power, accuracy delta) always run; the
+// threshold speedup is gated against the same-kernel baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,12 +48,8 @@ struct SizeResult {
   std::size_t rows = 0;
   double exhaustive_qps = 0.0;
   double threshold_qps = 0.0;
-  double exact_qps = 0.0;
   double hit_rate = 0.0;           // threshold argmax == exhaustive
   double rescored_fraction = 0.0;  // threshold stage-2 rows / (nq * rows)
-  double early_exit_rate = 0.0;    // exact certified singletons
-  double fallback_rate = 0.0;      // exact certified-set overflows
-  bool exact_identical = false;
 };
 
 /// Noised prototype queries: each query is a random plane row with ~10% of
@@ -106,7 +98,6 @@ SizeResult measure_size(std::size_t rows, std::size_t bits, std::size_t nq,
       best_qps(nq, reps, [&] { exhaustive.dot_argmax(qspan, want); });
 
   search::CascadeConfig tcfg;
-  tcfg.mode = search::CascadeMode::kThreshold;
   tcfg.sample_fraction = 0.125;
   tcfg.shortlist = 64;
   // Confidence early exit: accept the prescreen winner outright when its
@@ -124,20 +115,6 @@ SizeResult measure_size(std::size_t rows, std::size_t bits, std::size_t nq,
   res.rescored_fraction =
       static_cast<double>(tstats.rescored_rows) /
       (static_cast<double>(nq) * static_cast<double>(rows));
-
-  search::CascadeConfig ecfg;
-  ecfg.mode = search::CascadeMode::kExact;
-  ecfg.sample_fraction = 0.75;
-  ecfg.shortlist = 128;
-  const search::CascadeSearcher exact(plane, ecfg);
-  res.exact_qps = best_qps(nq, reps, [&] { exact.dot_argmax(qspan, got); });
-  search::CascadeStats estats;
-  exact.dot_argmax(qspan, got, &estats);
-  res.exact_identical = got == want;
-  res.early_exit_rate = static_cast<double>(estats.early_exits) /
-                        static_cast<double>(estats.queries);
-  res.fallback_rate = static_cast<double>(estats.fallbacks) /
-                      static_cast<double>(estats.queries);
   return res;
 }
 
@@ -174,7 +151,6 @@ AccuracyResult measure_accuracy() {
   }
   {
     opts.cascade = true;
-    opts.cascade_mode = search::CascadeMode::kThreshold;
     opts.cascade_sample_fraction = 0.125;
     opts.cascade_shortlist = 64;
     auto clf = api::make("memhd", split.train.num_features(),
@@ -187,8 +163,8 @@ AccuracyResult measure_accuracy() {
 
 int run(int argc, const char* const* argv) {
   common::CliParser cli(
-      "Cascade search benchmark: exhaustive vs. two-stage threshold/exact "
-      "recall across plane sizes, plus fitted-model accuracy deltas.");
+      "Cascade search benchmark: exhaustive vs. two-stage threshold recall "
+      "across plane sizes, plus fitted-model accuracy deltas.");
   cli.add_flag("dim", "2048", "bits per row (D)");
   cli.add_flag("queries", "2048", "queries per measured batch");
   cli.add_flag("reps", "3", "timed repetitions per engine (best kept)");
@@ -227,21 +203,13 @@ int run(int argc, const char* const* argv) {
                  "    \"rows\": %zu,\n"
                  "    \"exhaustive_qps\": %.1f,\n"
                  "    \"threshold_qps\": %.1f,\n"
-                 "    \"exact_qps\": %.1f,\n"
                  "    \"threshold_speedup\": %.3f,\n"
-                 "    \"exact_speedup\": %.3f,\n"
                  "    \"hit_rate\": %.5f,\n"
-                 "    \"rescored_fraction\": %.5f,\n"
-                 "    \"early_exit_rate\": %.5f,\n"
-                 "    \"fallback_rate\": %.5f,\n"
-                 "    \"exact_identical\": %s\n"
+                 "    \"rescored_fraction\": %.5f\n"
                  "  },\n",
                  r.rows, r.rows, r.exhaustive_qps, r.threshold_qps,
-                 r.exact_qps,
                  r.exhaustive_qps > 0 ? r.threshold_qps / r.exhaustive_qps : 0,
-                 r.exhaustive_qps > 0 ? r.exact_qps / r.exhaustive_qps : 0,
-                 r.hit_rate, r.rescored_fraction, r.early_exit_rate,
-                 r.fallback_rate, r.exact_identical ? "true" : "false");
+                 r.hit_rate, r.rescored_fraction);
   }
   std::fprintf(f,
                "  \"model_accuracy\": {\n"
@@ -256,20 +224,16 @@ int run(int argc, const char* const* argv) {
   if (!json_only) {
     std::printf("cascade search [%s kernel, %u thread(s), D=%zu, %zu "
                 "queries]:\n",
-                common::batch_kernel_name(), common::configured_num_threads(),
-                bits, nq);
-    std::printf("  %8s %12s %12s %12s %8s %8s %9s %9s %6s\n", "C*K",
-                "exhaust q/s", "thresh q/s", "exact q/s", "thr x", "exa x",
-                "hit", "fallback", "ident");
+                common::batch_kernel_name(),
+                common::configured_num_threads(), bits, nq);
+    std::printf("  %8s %12s %12s %8s %9s %9s\n", "C*K", "exhaust q/s",
+                "thresh q/s", "thr x", "hit", "rescored");
     for (const auto& r : results)
-      std::printf("  %8zu %12.0f %12.0f %12.0f %7.2fx %7.2fx %8.2f%% "
-                  "%8.2f%% %6s\n",
-                  r.rows, r.exhaustive_qps, r.threshold_qps, r.exact_qps,
+      std::printf("  %8zu %12.0f %12.0f %7.2fx %8.2f%% %8.2f%%\n", r.rows,
+                  r.exhaustive_qps, r.threshold_qps,
                   r.exhaustive_qps > 0 ? r.threshold_qps / r.exhaustive_qps
                                        : 0,
-                  r.exhaustive_qps > 0 ? r.exact_qps / r.exhaustive_qps : 0,
-                  100 * r.hit_rate, 100 * r.fallback_rate,
-                  r.exact_identical ? "yes" : "NO");
+                  100 * r.hit_rate, 100 * r.rescored_fraction);
     std::printf("  model accuracy: exhaustive %.2f%% -> threshold %.2f%% "
                 "(delta %+.2f%%)\n",
                 100 * acc.exhaustive, 100 * acc.threshold,

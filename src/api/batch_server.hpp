@@ -74,12 +74,11 @@
 //
 // Cascade-enabled models ride the same mechanism: a MEMHD PredictContext
 // pins the model version's immutable search::CascadeSearcher (prescreen
-// sub-plane + exact plane + margin-bound popcounts) instead of a plain
-// BatchScorer, so each shard holds exactly one prescreen plane per pinned
-// version and swaps it atomically with the context at the next batch cut —
-// a hot swap can never score one shard piece against the old version's
-// prescreen and another against the new one (hammer-tested in
-// tests/search/test_cascade_model.cpp).
+// sub-plane + exact plane) instead of a plain BatchScorer, so each shard
+// holds exactly one prescreen plane per pinned version and swaps it
+// atomically with the context at the next batch cut — a hot swap can never
+// score one shard piece against the old version's prescreen and another
+// against the new one (hammer-tested in tests/search/test_cascade_model.cpp).
 #pragma once
 
 #include <chrono>

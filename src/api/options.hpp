@@ -36,12 +36,10 @@ struct ModelOptions {
 
   // MEMHD coarse-to-fine search cascade (src/search/README.md). Off by
   // default; when on, predict/predict_batch prune the C-centroid search
-  // to a prescreened shortlist. kExact mode stays bit-identical to
-  // exhaustive search; kThreshold trades certified identity for speed.
+  // to a prescreened shortlist, trading exact identity for speed.
   bool cascade = false;
-  search::CascadeMode cascade_mode = search::CascadeMode::kThreshold;
   double cascade_sample_fraction = 0.125;  // share of words prescreened
-  std::size_t cascade_shortlist = 64;      // stage-2 rescore budget / cap
+  std::size_t cascade_shortlist = 64;      // stage-2 rescore budget
   std::size_t cascade_early_exit_margin = 0;  // bits; 0 = no early exit
 
   // ID-Level encoders (QuantHD / SearcHD / LeHDC).
@@ -64,7 +62,6 @@ struct ModelOptions {
     cfg.seed = seed;
     cfg.basis = basis;
     cfg.cascade.enabled = cascade;
-    cfg.cascade.mode = cascade_mode;
     cfg.cascade.sample_fraction = cascade_sample_fraction;
     cfg.cascade.shortlist = cascade_shortlist;
     cfg.cascade.early_exit_margin = cascade_early_exit_margin;

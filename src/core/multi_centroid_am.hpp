@@ -118,10 +118,10 @@ class MultiCentroidAM {
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const;
   /// Batched predict through a coarse-to-fine search cascade built over
-  /// THIS AM's binary plane (src/search/cascade.hpp). In kExact mode the
-  /// labels are bit-identical to the exhaustive overload above; kThreshold
-  /// trades certified identity for pruned scoring work. `stats`, when
-  /// given, accumulates the cascade's stage counters.
+  /// THIS AM's binary plane (src/search/cascade.hpp): the labels match the
+  /// exhaustive overload above whenever the winner survives the prescreen,
+  /// for pruned scoring work. `stats`, when given, accumulates the
+  /// cascade's stage counters.
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries,
       const search::CascadeSearcher& cascade,

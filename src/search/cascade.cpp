@@ -1,8 +1,6 @@
 #include "src/search/cascade.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <stdexcept>
 
 #include "src/common/assert.hpp"
@@ -72,27 +70,6 @@ common::BitMatrix build_sub_plane(const common::BitMatrix& rows,
   return sub;
 }
 
-/// rest_pop[r] = popcount of row r over the UNSAMPLED words: the row-side
-/// half of the margin bound (the unsampled AND contribution of row r can
-/// never exceed min(rest_pop[r], query's unsampled popcount)).
-std::vector<std::uint32_t> rest_popcounts(
-    const common::BitMatrix& rows, std::span<const std::uint32_t> sampled) {
-  std::vector<std::uint32_t> out(rows.rows(), 0);
-  if (rows.empty() || sampled.size() == rows.words_per_row()) return out;
-  const std::size_t words = rows.words_per_row();
-  std::vector<std::uint8_t> is_sampled(words, 0);
-  for (const auto w : sampled) is_sampled[w] = 1;
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    const std::uint64_t* row = rows.row(r);
-    std::uint32_t pop = 0;
-    for (std::size_t w = 0; w < words; ++w)
-      if (!is_sampled[w])
-        pop += static_cast<std::uint32_t>(std::popcount(row[w]));
-    out[r] = pop;
-  }
-  return out;
-}
-
 }  // namespace
 
 CascadeSearcher::CascadeSearcher(const common::BitMatrix& rows,
@@ -100,14 +77,8 @@ CascadeSearcher::CascadeSearcher(const common::BitMatrix& rows,
     : config_(config),
       words_(rows.words_per_row()),
       word_index_(select_words(rows.words_per_row(), config)),
-      rest_pop_(rest_popcounts(rows, word_index_)),
       full_(rows),
-      sub_(build_sub_plane(rows, word_index_)) {
-  block_rest_max_.assign((rest_pop_.size() + kSelBlock - 1) / kSelBlock, 0);
-  for (std::size_t r = 0; r < rest_pop_.size(); ++r)
-    block_rest_max_[r / kSelBlock] =
-        std::max(block_rest_max_[r / kSelBlock], rest_pop_[r]);
-}
+      sub_(build_sub_plane(rows, word_index_)) {}
 
 void CascadeSearcher::dot_argmax(std::span<const common::BitVector> queries,
                                  std::vector<std::uint32_t>& out,
@@ -128,38 +99,27 @@ void CascadeSearcher::dot_argmax(const std::uint64_t* const* queries,
 
   if (degenerate()) {
     // The sample is the whole plane: the prescreen would BE the exact
-    // score. Run the exhaustive kernel and account it as fallback work.
+    // score. Run the exhaustive kernel, which scores every row.
     full_.dot_argmax(queries, num_queries, out);
-    local.fallbacks = num_queries;
+    local.rescored_rows = num_queries * rows();
     if (stats != nullptr) stats->merge(local);
     return;
   }
 
   const std::size_t n_sel = word_index_.size();
 
-  // ---- stage 1: gather sampled sub-queries + per-query unsampled popcount.
+  // ---- stage 1: gather the sampled words of every query.
   std::vector<std::uint64_t> sub_words(num_queries * n_sel);
   std::vector<const std::uint64_t*> sub_ptrs(num_queries);
-  std::vector<std::uint32_t> rest_pop_q(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
     const std::uint64_t* full_q = queries[q];
     std::uint64_t* sub_q = sub_words.data() + q * n_sel;
-    std::uint64_t sampled_pop = 0;
-    for (std::size_t j = 0; j < n_sel; ++j) {
-      const std::uint64_t word = full_q[word_index_[j]];
-      sub_q[j] = word;
-      sampled_pop += static_cast<std::uint64_t>(std::popcount(word));
-    }
-    std::uint64_t total_pop = 0;
-    for (std::size_t w = 0; w < words_; ++w)
-      total_pop += static_cast<std::uint64_t>(std::popcount(full_q[w]));
-    rest_pop_q[q] = static_cast<std::uint32_t>(total_pop - sampled_pop);
+    for (std::size_t j = 0; j < n_sel; ++j) sub_q[j] = full_q[word_index_[j]];
     sub_ptrs[q] = sub_q;
   }
 
   // ---- prescreen scores in bounded chunks, resolving each chunk's queries
   // in parallel blocks before the next chunk's table overwrites the buffer.
-  std::vector<std::uint8_t> need_full(num_queries, 0);
   std::vector<std::uint32_t> sub_scores;
   const std::size_t nrows = rows();
   for (std::size_t c0 = 0; c0 < num_queries; c0 += kScoreChunk) {
@@ -175,27 +135,11 @@ void CascadeSearcher::dot_argmax(const std::uint64_t* const* queries,
         [&](std::size_t b) {
           const std::size_t q0 = b * kResolveBlock;
           const std::size_t q1 = std::min(cn, q0 + kResolveBlock);
-          resolve_block(queries + c0, sub_scores.data(), rest_pop_q.data() + c0,
-                        q0, q1, out + c0, need_full.data() + c0,
+          resolve_block(queries + c0, sub_scores.data(), q0, q1, out + c0,
                         block_stats[b]);
         },
         /*grain=*/1);
     for (const auto& s : block_stats) local.merge(s);
-  }
-
-  // ---- exact-mode fallbacks: one exhaustive batch over the uncertified
-  // queries (batched so they still get the blocked kernel, not a scalar
-  // loop per query).
-  std::vector<std::size_t> fb;
-  for (std::size_t q = 0; q < num_queries; ++q)
-    if (need_full[q]) fb.push_back(q);
-  if (!fb.empty()) {
-    std::vector<const std::uint64_t*> fb_ptrs(fb.size());
-    for (std::size_t i = 0; i < fb.size(); ++i) fb_ptrs[i] = queries[fb[i]];
-    std::vector<std::uint32_t> fb_out(fb.size());
-    full_.dot_argmax(fb_ptrs.data(), fb_ptrs.size(), fb_out.data());
-    for (std::size_t i = 0; i < fb.size(); ++i) out[fb[i]] = fb_out[i];
-    local.fallbacks += fb.size();
   }
 
   if (stats != nullptr) stats->merge(local);
@@ -203,10 +147,8 @@ void CascadeSearcher::dot_argmax(const std::uint64_t* const* queries,
 
 void CascadeSearcher::resolve_block(const std::uint64_t* const* queries,
                                     const std::uint32_t* sub_scores,
-                                    const std::uint32_t* rest_pop_q,
                                     std::size_t q0, std::size_t q1,
                                     std::uint32_t* out,
-                                    std::uint8_t* need_full,
                                     CascadeStats& stats) const {
   const std::size_t nrows = rows();
   const std::size_t cap = config_.shortlist;
@@ -221,7 +163,6 @@ void CascadeSearcher::resolve_block(const std::uint64_t* const* queries,
 
   for (std::size_t q = q0; q < q1; ++q) {
     const std::uint32_t* s = sub_scores + q * nrows;
-    const std::uint32_t rest_q = rest_pop_q[q];
 
     // Pass 1: per-block score maxima — a branchless max reduction (the
     // vector-friendly pass: full blocks have a fixed trip count);
@@ -242,54 +183,11 @@ void CascadeSearcher::resolve_block(const std::uint64_t* const* queries,
     std::uint32_t m = 0;
     for (std::size_t b = 0; b < nb; ++b) m = std::max(m, bm[b]);
 
-    if (config_.mode == CascadeMode::kExact) {
-      // Certified candidate set: rows whose full score could still reach
-      // the prescreen winner's. Complete by construction (README), so a
-      // first-wins exact rescore of it IS the exhaustive argmax. A block
-      // whose best conceivable bound already loses is skipped whole.
-      cands.clear();
-      bool overflow = false;
-      for (std::size_t b = 0; b < nb && !overflow; ++b) {
-        if (bm[b] + std::min(rest_q, block_rest_max_[b]) < m) continue;
-        const std::size_t r1 = std::min(nrows, (b + 1) * kSelBlock);
-        for (std::size_t r = b * kSelBlock; r < r1; ++r) {
-          if (std::min(rest_q, rest_pop_[r]) + s[r] < m) continue;
-          if (cands.size() == cap) {
-            overflow = true;
-            break;
-          }
-          cands.push_back(static_cast<std::uint32_t>(r));
-        }
-      }
-      if (overflow) {
-        need_full[q] = 1;  // counted when the fallback batch runs
-        continue;
-      }
-      if (cands.size() == 1) {
-        // The bound excluded every other row: the winner is certified
-        // from the prescreen alone.
-        out[q] = cands[0];
-        ++stats.early_exits;
-        continue;
-      }
-      exact.resize(cands.size());
-      full_.scores_rows(queries[q], cands, exact.data());
-      std::uint32_t best = cands[0], best_score = exact[0];
-      for (std::size_t i = 1; i < cands.size(); ++i)
-        if (exact[i] > best_score) {  // strict: ascending ids = first-wins
-          best_score = exact[i];
-          best = cands[i];
-        }
-      out[q] = best;
-      stats.rescored_rows += cands.size();
-      continue;
-    }
-
-    // kThreshold. Confidence early exit: the prescreen winner leads by a
-    // comfortable sub-score margin, skip stage 2 entirely. The winner and
-    // runner-up come from the block maxima: the first block attaining m
-    // holds the first-wins winner; the runner-up is the best of the other
-    // blocks' maxima and the winner block's next-best score.
+    // Confidence early exit: the prescreen winner leads by a comfortable
+    // sub-score margin, skip stage 2 entirely. The winner and runner-up
+    // come from the block maxima: the first block attaining m holds the
+    // first-wins winner; the runner-up is the best of the other blocks'
+    // maxima and the winner block's next-best score.
     if (config_.early_exit_margin > 0) {
       std::size_t wb = 0;
       std::uint32_t other = 0;

@@ -13,25 +13,11 @@
 //     rows through BatchScorer::scores_rows (the gather entry point — the
 //     kernels touch nothing but survivors).
 //
-// Two contracts are offered (CascadeMode):
-//
-//   kExact — bit-identical to exhaustive first-wins argmax, always. Let
-//     s'(r) be the sub-plane score and R_q the query's popcount over the
-//     UNSAMPLED words. Since the unsampled contribution of any row r is
-//     bounded by min(R_q, P_r) (P_r = row r's unsampled popcount), every
-//     row with s'(r) + min(R_q, P_r) < max_r s'(r) provably loses to the
-//     prescreen winner on the full score. The certified candidate set —
-//     the rows that survive that bound — therefore contains every possible
-//     full-score winner (ties included), so an exact first-wins rescore of
-//     it equals the exhaustive argmax. When the set exceeds `shortlist`,
-//     the query falls back to full scoring; correctness never depends on
-//     the bound being tight. Derivation: src/search/README.md.
-//
-//   kThreshold — rescore exactly the top-`shortlist` prescreen rows; the
-//     result is exact iff the true winner survives the prescreen (the
-//     shortlist hit-rate, reported by bench_cascade). Optional confidence
-//     early exit: accept the prescreen winner with no rescore when its
-//     sub-score margin reaches early_exit_margin bits.
+// The result is exact iff the true winner survives the prescreen (the
+// shortlist hit-rate, reported by bench_cascade); with the early exit off,
+// a shortlist covering every row is exact. Optional confidence early exit:
+// accept the prescreen winner with no rescore when its sub-score margin
+// reaches early_exit_margin bits.
 //
 // Thread contract: like BasisProvider and BatchScorer, a CascadeSearcher is
 // IMMUTABLE after construction — no locks, no mutable members — so one
@@ -58,27 +44,22 @@ namespace memhd::search {
 /// searcher itself stays immutable and lock-free).
 struct CascadeStats {
   std::uint64_t queries = 0;
-  /// Rows exactly rescored in stage 2 (the gather path's total work).
+  /// Rows exactly scored in stage 2 (the gather path's total work; a
+  /// degenerate searcher scores every row of every query).
   std::uint64_t rescored_rows = 0;
-  /// Queries answered from the prescreen alone (certified singleton in
-  /// kExact mode, confidence margin in kThreshold mode).
+  /// Queries answered from the prescreen alone (the confidence margin).
   std::uint64_t early_exits = 0;
-  /// kExact only: queries whose certified set overflowed the shortlist cap
-  /// and were re-run through full scoring.
-  std::uint64_t fallbacks = 0;
 
   void merge(const CascadeStats& other) {
     queries += other.queries;
     rescored_rows += other.rescored_rows;
     early_exits += other.early_exits;
-    fallbacks += other.fallbacks;
   }
 };
 
 /// The two-stage searcher over one frozen row (centroid) plane. Snapshots
-/// everything it needs — the exact plane, the sampled sub-plane, and the
-/// per-row unsampled popcounts — so the source matrix may be freed or
-/// mutated after construction.
+/// everything it needs — the exact plane and the sampled sub-plane — so the
+/// source matrix may be freed or mutated after construction.
 class CascadeSearcher {
  public:
   /// Throws std::invalid_argument for out-of-range config values
@@ -94,8 +75,9 @@ class CascadeSearcher {
   /// the full score, so dot_argmax simply runs the exhaustive kernel.
   bool degenerate() const { return sampled_words() == words_; }
 
-  /// out[q] = first-wins argmax_r popcount(row_r AND query_q) under the
-  /// mode's contract; same signature family as BatchScorer::dot_argmax.
+  /// out[q] = first-wins argmax over the shortlist of
+  /// popcount(row_r AND query_q); same signature family as
+  /// BatchScorer::dot_argmax.
   /// Each query must have exactly cols() bits.
   void dot_argmax(std::span<const common::BitVector> queries,
                   std::vector<std::uint32_t>& out,
@@ -106,21 +88,16 @@ class CascadeSearcher {
 
  private:
   /// Resolves queries [q0, q1) of one prescreened chunk: selection +
-  /// stage-2 rescore, flagging fallback queries instead of scoring them.
+  /// stage-2 rescore.
   void resolve_block(const std::uint64_t* const* queries,
-                     const std::uint32_t* sub_scores,
-                     const std::uint32_t* rest_pop_q, std::size_t q0,
+                     const std::uint32_t* sub_scores, std::size_t q0,
                      std::size_t q1, std::uint32_t* out,
-                     std::uint8_t* need_full, CascadeStats& stats) const;
+                     CascadeStats& stats) const;
 
   CascadeConfig config_;
   std::size_t words_ = 0;              // words per row of the full plane
   std::vector<std::uint32_t> word_index_;  // sampled words, ascending
-  std::vector<std::uint32_t> rest_pop_;    // per row: popcount of unsampled words
-  /// max of rest_pop_ per kSelBlock-row block: lets the exact-mode bound
-  /// discard whole blocks with one comparison before any per-row work.
-  std::vector<std::uint32_t> block_rest_max_;
-  common::BatchScorer full_;           // exact plane (stage 2 + fallback)
+  common::BatchScorer full_;           // exact plane (stage 2 + degenerate)
   common::BatchScorer sub_;            // prescreen plane (stage 1)
 };
 

@@ -10,39 +10,22 @@
 
 namespace memhd::search {
 
-/// What the cascade promises about its result.
-enum class CascadeMode : std::uint8_t {
-  /// Bit-identical to exhaustive first-wins argmax, always. The prescreen's
-  /// Hamming margin bound either certifies a candidate set small enough to
-  /// rescore exactly, or the query falls back to full scoring. Useful when
-  /// results must be reproducible against the exhaustive path; only pays
-  /// off at high sample fractions (see src/search/README.md).
-  kExact = 0,
-  /// Approximate: rescore exactly the top-`shortlist` prescreen candidates.
-  /// The winner is exact whenever it survives the prescreen (measured as
-  /// the shortlist hit-rate); misses cost accuracy, not correctness of the
-  /// protocol. This is the many-centroid speed configuration.
-  kThreshold = 1,
-};
-
 /// Knobs for the two-stage search. Persisted verbatim in model containers
 /// (MEMHD003), so a loaded model searches exactly like the saved one.
 struct CascadeConfig {
   /// Off by default: every model keeps exhaustive scoring unless asked.
   bool enabled = false;
-  CascadeMode mode = CascadeMode::kThreshold;
   /// Fraction of the packed 64-bit words each query is prescreened on
   /// (word-granular so the packed kernels serve the sub-plane unchanged).
   /// Clamped to at least one word; 1.0 degenerates to exhaustive scoring.
   double sample_fraction = 0.125;
-  /// Stage-2 candidates per query: the exact rescore budget in kThreshold
-  /// mode, and the certified-set cap beyond which kExact mode falls back
-  /// to full scoring.
+  /// Stage-2 candidates per query: the top-`shortlist` prescreen rows are
+  /// rescored exactly. With the early exit off, a shortlist covering every
+  /// row is exact.
   std::size_t shortlist = 64;
-  /// kThreshold only: when > 0, accept the prescreen winner without any
-  /// stage-2 rescore if its sub-score leads the runner-up by at least this
-  /// many bits — the confidence early exit. 0 disables it. (kExact mode
-  /// early-exits only on the certified bound, never on this heuristic.)
+  /// When > 0, accept the prescreen winner without any stage-2 rescore if
+  /// its sub-score leads the runner-up by at least this many bits — the
+  /// confidence early exit. 0 disables it.
   std::size_t early_exit_margin = 0;
   /// Seed of the deterministic word-sampling permutation. Persisted, so the
   /// prescreen plane of a reloaded model samples the same words.

@@ -1,7 +1,7 @@
-// CascadeSearcher: the exact-mode bit-identity contract (property-tested
-// against the exhaustive kernel over odd shapes and engineered ties), the
-// threshold-mode quality contract on a fitted model, config validation, and
-// stats accounting.
+// CascadeSearcher: bit-identity with the exhaustive kernel when the
+// shortlist covers the plane (property-tested over odd shapes, every sample
+// fraction and engineered ties), the shortlist quality contract on a
+// structured workload, config validation, and stats accounting.
 #include "src/search/cascade.hpp"
 
 #include <gtest/gtest.h>
@@ -36,44 +36,12 @@ std::vector<std::uint32_t> exhaustive(const common::BitMatrix& rows,
   return out;
 }
 
-// ---------------------------------------------------------------- exact --
+// ------------------------------------------------------------ threshold --
 
-TEST(CascadeExact, MatchesExhaustiveAcrossShapes) {
-  // The property the mode exists for: bit-identical first-wins argmax, at
-  // every sample fraction, over shapes with and without ragged tail words.
-  const struct {
-    std::size_t rows, bits;
-  } shapes[] = {{1, 64}, {3, 65}, {17, 130}, {64, 256}, {193, 1000},
-                {256, 2048}};
-  const double fractions[] = {0.05, 0.25, 0.5, 0.75, 1.0};
-  for (const auto& sh : shapes) {
-    common::Rng rng(0x5EEDULL + sh.rows * 31 + sh.bits);
-    const auto plane = common::BitMatrix::random(sh.rows, sh.bits, rng);
-    const auto queries = random_queries(32, sh.bits, sh.rows * 977 + sh.bits);
-    const auto want = exhaustive(plane, queries);
-    for (const double f : fractions) {
-      CascadeConfig cfg;
-      cfg.mode = CascadeMode::kExact;
-      cfg.sample_fraction = f;
-      cfg.shortlist = 64;
-      const CascadeSearcher cascade(plane, cfg);
-      std::vector<std::uint32_t> got;
-      CascadeStats stats;
-      cascade.dot_argmax(queries, got, &stats);
-      ASSERT_EQ(got, want) << "rows=" << sh.rows << " bits=" << sh.bits
-                           << " fraction=" << f;
-      EXPECT_EQ(stats.queries, queries.size());
-    }
-  }
-}
-
-TEST(CascadeExact, DuplicateRowsPreserveFirstWins) {
-  // Engineered ties: every row duplicated, plus an all-zeros pair. The
-  // exhaustive kernel answers the LOWEST index of each tied group; the
-  // certified rescore must too — including when the duplicate pair
-  // straddles the shortlist ordering.
+/// Every row duplicated, plus an all-zeros pair (rows 16, 17): engineered
+/// ties whose exhaustive answer is the LOWER twin of each tied group.
+common::BitMatrix duplicate_row_plane(std::size_t bits) {
   common::Rng rng(99);
-  const std::size_t bits = 192;
   const auto half = common::BitMatrix::random(8, bits, rng);
   common::BitMatrix plane(18, bits);
   for (std::size_t r = 0; r < 8; ++r) {
@@ -82,47 +50,51 @@ TEST(CascadeExact, DuplicateRowsPreserveFirstWins) {
     std::memcpy(plane.row(2 * r + 1), half.row(r),
                 half.words_per_row() * sizeof(std::uint64_t));
   }
-  // Rows 16, 17 stay all-zero: ties at score 0 for a zero query.
-  auto queries = random_queries(64, bits, 1234);
-  queries.push_back(common::BitVector(bits));  // all zeros
+  return plane;
+}
 
-  const auto want = exhaustive(plane, queries);
-  for (const std::uint32_t w : want) EXPECT_EQ(w % 2, 0u);  // lower twin
+TEST(CascadeThreshold, CoveringShortlistMatchesExhaustiveAcrossShapes) {
+  // A shortlist as wide as the plane keeps every row, so the rescore is
+  // the exhaustive first-wins argmax at every sample fraction, over a
+  // 1-row plane, ragged tail words, fraction 1.0 (the degenerate forward)
+  // and duplicated rows whose ties must resolve to the lower index.
+  struct Case {
+    common::BitMatrix plane;
+    std::vector<common::BitVector> queries;
+  };
+  std::vector<Case> cases;
+  const struct {
+    std::size_t rows, bits;
+  } shapes[] = {{1, 64}, {3, 65}, {17, 130}, {64, 256}, {193, 1000},
+                {256, 2048}};
+  for (const auto& sh : shapes) {
+    common::Rng rng(0x5EEDULL + sh.rows * 31 + sh.bits);
+    cases.push_back({common::BitMatrix::random(sh.rows, sh.bits, rng),
+                     random_queries(32, sh.bits, sh.rows * 977 + sh.bits)});
+  }
+  Case dup{duplicate_row_plane(192), random_queries(64, 192, 1234)};
+  dup.queries.push_back(common::BitVector(192));  // ties at score 0
+  for (const std::uint32_t w : exhaustive(dup.plane, dup.queries))
+    EXPECT_EQ(w % 2, 0u);  // the lower twin
+  cases.push_back(std::move(dup));
 
-  for (const double f : {0.34, 0.67, 1.0}) {
-    CascadeConfig cfg;
-    cfg.mode = CascadeMode::kExact;
-    cfg.sample_fraction = f;
-    cfg.shortlist = 6;  // smaller than the plane: forces fallbacks too
-    const CascadeSearcher cascade(plane, cfg);
-    std::vector<std::uint32_t> got;
-    cascade.dot_argmax(queries, got);
-    ASSERT_EQ(got, want) << "fraction=" << f;
+  const double fractions[] = {0.05, 0.25, 0.34, 0.5, 0.67, 0.75, 1.0};
+  for (const auto& [plane, queries] : cases) {
+    const auto want = exhaustive(plane, queries);
+    for (const double f : fractions) {
+      CascadeConfig cfg;
+      cfg.sample_fraction = f;
+      cfg.shortlist = plane.rows();
+      const CascadeSearcher cascade(plane, cfg);
+      std::vector<std::uint32_t> got;
+      CascadeStats stats;
+      cascade.dot_argmax(queries, got, &stats);
+      ASSERT_EQ(got, want) << "rows=" << plane.rows()
+                           << " bits=" << plane.cols() << " fraction=" << f;
+      EXPECT_EQ(stats.queries, queries.size());
+    }
   }
 }
-
-TEST(CascadeExact, StatsPartitionTheBatch) {
-  // queries = early_exits + fallbacks + rescored queries; every rescored
-  // query touched at least 2 and at most `shortlist` rows.
-  common::Rng rng(5);
-  const auto plane = common::BitMatrix::random(128, 512, rng);
-  const auto queries = random_queries(256, 512, 42);
-  CascadeConfig cfg;
-  cfg.mode = CascadeMode::kExact;
-  cfg.sample_fraction = 0.75;
-  cfg.shortlist = 32;
-  const CascadeSearcher cascade(plane, cfg);
-  std::vector<std::uint32_t> got;
-  CascadeStats stats;
-  cascade.dot_argmax(queries, got, &stats);
-  EXPECT_EQ(stats.queries, queries.size());
-  const std::uint64_t resolved =
-      stats.queries - stats.early_exits - stats.fallbacks;
-  EXPECT_GE(stats.rescored_rows, 2 * resolved);
-  EXPECT_LE(stats.rescored_rows, cfg.shortlist * resolved);
-}
-
-// ------------------------------------------------------------ threshold --
 
 TEST(CascadeThreshold, ShortlistCoveringPlaneIsExact) {
   // With shortlist >= rows the top-L selection keeps every row, so the
@@ -133,7 +105,6 @@ TEST(CascadeThreshold, ShortlistCoveringPlaneIsExact) {
   queries.push_back(common::BitVector(300));
   const auto want = exhaustive(plane, queries);
   CascadeConfig cfg;
-  cfg.mode = CascadeMode::kThreshold;
   cfg.sample_fraction = 0.2;
   cfg.shortlist = 48;
   const CascadeSearcher cascade(plane, cfg);
@@ -161,7 +132,6 @@ TEST(CascadeThreshold, StructuredWorkloadHitsShortlist) {
   }
   const auto want = exhaustive(plane, queries);
   CascadeConfig cfg;
-  cfg.mode = CascadeMode::kThreshold;
   cfg.sample_fraction = 0.125;
   cfg.shortlist = 32;
   const CascadeSearcher cascade(plane, cfg);
@@ -171,7 +141,7 @@ TEST(CascadeThreshold, StructuredWorkloadHitsShortlist) {
   std::size_t agree = 0;
   for (std::size_t q = 0; q < want.size(); ++q) agree += got[q] == want[q];
   EXPECT_GE(agree, want.size() * 97 / 100);
-  EXPECT_EQ(stats.fallbacks, 0u);
+  EXPECT_EQ(stats.early_exits, 0u);  // no margin: every query rescored
   EXPECT_EQ(stats.rescored_rows, cfg.shortlist * stats.queries);
 }
 
@@ -190,7 +160,6 @@ TEST(CascadeThreshold, EarlyExitMarginSkipsRescore) {
     queries.push_back(std::move(hv));
   }
   CascadeConfig cfg;
-  cfg.mode = CascadeMode::kThreshold;
   cfg.sample_fraction = 0.25;
   cfg.shortlist = 8;
   cfg.early_exit_margin = 16;
@@ -217,7 +186,8 @@ TEST(Cascade, DegenerateSampleForwardsToExhaustive) {
   CascadeStats stats;
   cascade.dot_argmax(queries, got, &stats);
   EXPECT_EQ(got, exhaustive(plane, queries));
-  EXPECT_EQ(stats.fallbacks, queries.size());
+  EXPECT_EQ(stats.queries, queries.size());
+  EXPECT_EQ(stats.rescored_rows, queries.size() * plane.rows());
 }
 
 TEST(Cascade, SameConfigSameSeedIsDeterministic) {
@@ -228,7 +198,6 @@ TEST(Cascade, SameConfigSameSeedIsDeterministic) {
   const auto plane = common::BitMatrix::random(96, 777, rng);
   const auto queries = random_queries(64, 777, 18);
   CascadeConfig cfg;
-  cfg.mode = CascadeMode::kThreshold;
   cfg.sample_fraction = 0.3;
   cfg.shortlist = 12;
   const CascadeSearcher a(plane, cfg);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <thread>
@@ -27,35 +28,16 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-core::MemhdConfig cascade_config(CascadeMode mode) {
+core::MemhdConfig cascade_config() {
   core::MemhdConfig cfg;
   cfg.dim = 512;
   cfg.columns = 24;
   cfg.epochs = 3;
   cfg.seed = 11;
   cfg.cascade.enabled = true;
-  cfg.cascade.mode = mode;
   cfg.cascade.sample_fraction = 0.5;
   cfg.cascade.shortlist = 16;
   return cfg;
-}
-
-TEST(CascadeModel, ExactModeMatchesExhaustiveModel) {
-  // Same fit, cascade on (exact) vs off: every prediction bit-identical.
-  const auto split = testing::tiny_multimodal();
-  auto cfg = cascade_config(CascadeMode::kExact);
-  core::MemhdModel with(cfg, split.train.num_features(),
-                        split.train.num_classes());
-  with.fit(split.train);
-  cfg.cascade.enabled = false;
-  core::MemhdModel without(cfg, split.train.num_features(),
-                           split.train.num_classes());
-  without.fit(split.train);
-
-  ASSERT_NE(with.cascade(), nullptr);
-  EXPECT_EQ(without.cascade(), nullptr);
-  EXPECT_EQ(with.predict_batch(split.test.features()),
-            without.predict_batch(split.test.features()));
 }
 
 TEST(CascadeModel, PredictMatchesPredictBatchInThresholdMode) {
@@ -64,7 +46,7 @@ TEST(CascadeModel, PredictMatchesPredictBatchInThresholdMode) {
   // part of the answer, so a predict() that bypassed the cascade would
   // diverge.
   const auto split = testing::tiny_multimodal();
-  const auto cfg = cascade_config(CascadeMode::kThreshold);
+  const auto cfg = cascade_config();
   core::MemhdModel model(cfg, split.train.num_features(),
                          split.train.num_classes());
   model.fit(split.train);
@@ -77,7 +59,7 @@ TEST(CascadeModel, ThresholdAccuracyWithinHalfPercent) {
   // The acceptance bar on a fitted model: threshold-mode evaluation within
   // 0.5% of exhaustive on held-out data.
   const auto split = testing::tiny_hard_multimodal();
-  auto cfg = cascade_config(CascadeMode::kThreshold);
+  auto cfg = cascade_config();
   cfg.cascade.sample_fraction = 0.125;
   core::MemhdModel with(cfg, split.train.num_features(),
                         split.train.num_classes());
@@ -96,7 +78,8 @@ TEST(CascadeModel, RefreshAfterOnlineUpdates) {
   // the model's own cascade predictions stay consistent with a fresh
   // exhaustive model of the same state.
   const auto split = testing::tiny_multimodal();
-  const auto cfg = cascade_config(CascadeMode::kExact);
+  auto cfg = cascade_config();
+  cfg.cascade.shortlist = cfg.columns;  // covers the plane: exact
   core::MemhdModel model(cfg, split.train.num_features(),
                          split.train.num_classes());
   model.fit(split.train);
@@ -105,7 +88,9 @@ TEST(CascadeModel, RefreshAfterOnlineUpdates) {
 
   model.partial_fit(split.test.features(), split.test.labels());
   ASSERT_NE(model.cascade(), nullptr);
-  // Exact contract must hold against the POST-update AM.
+  ASSERT_EQ(model.am().columns(), cfg.cascade.shortlist);
+  // The covering shortlist is exact against the POST-update AM only if
+  // the searcher was rebuilt over it.
   common::BatchScorer fresh(model.am().binary());
   const auto encoded = model.encoder().encode_batch(split.test.features());
   std::vector<std::uint32_t> want, got;
@@ -117,7 +102,7 @@ TEST(CascadeModel, RefreshAfterOnlineUpdates) {
 
 TEST(CascadeModel, SerializeRoundTripsCascadeConfig) {
   const auto split = testing::tiny_multimodal();
-  auto cfg = cascade_config(CascadeMode::kThreshold);
+  auto cfg = cascade_config();
   cfg.cascade.sample_fraction = 0.375;
   cfg.cascade.shortlist = 9;
   cfg.cascade.early_exit_margin = 5;
@@ -133,7 +118,6 @@ TEST(CascadeModel, SerializeRoundTripsCascadeConfig) {
 
   const auto& c = loaded.config().cascade;
   EXPECT_TRUE(c.enabled);
-  EXPECT_EQ(c.mode, CascadeMode::kThreshold);
   EXPECT_DOUBLE_EQ(c.sample_fraction, 0.375);
   EXPECT_EQ(c.shortlist, 9u);
   EXPECT_EQ(c.early_exit_margin, 5u);
@@ -150,7 +134,7 @@ TEST(CascadeModel, SerializeRoundTripsCascadeConfig) {
 
 TEST(CascadeModel, DisabledConfigRoundTripsDisabled) {
   const auto split = testing::tiny_separable();
-  auto cfg = cascade_config(CascadeMode::kExact);
+  auto cfg = cascade_config();
   cfg.cascade.enabled = false;
   core::MemhdModel model(cfg, split.train.num_features(),
                          split.train.num_classes());
@@ -163,6 +147,36 @@ TEST(CascadeModel, DisabledConfigRoundTripsDisabled) {
   EXPECT_EQ(loaded.cascade(), nullptr);
 }
 
+TEST(CascadeModel, RetiredExactModeByteLoadsDisabled) {
+  // A MEMHD003 file whose cascade mode byte is 0 was saved in the retired
+  // exact mode. Its contract was the exhaustive argmax, so it loads with
+  // the cascade disabled and predicts exactly like a cascade-off fit.
+  const auto split = testing::tiny_multimodal();
+  auto cfg = cascade_config();
+  core::MemhdModel model(cfg, split.train.num_features(),
+                         split.train.num_classes());
+  model.fit(split.train);
+  const std::string path = temp_path("memhd_exact_mode.model");
+  model.save(path);
+  {
+    // Offset 81 is the enabled byte, 82 the mode byte.
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(82);
+    io.put(0);
+  }
+  const core::MemhdModel loaded = core::MemhdModel::load(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(loaded.config().cascade.enabled);
+  EXPECT_EQ(loaded.cascade(), nullptr);
+
+  cfg.cascade.enabled = false;
+  core::MemhdModel exhaustive(cfg, split.train.num_features(),
+                              split.train.num_classes());
+  exhaustive.fit(split.train);
+  EXPECT_EQ(loaded.predict_batch(split.test.features()),
+            exhaustive.predict_batch(split.test.features()));
+}
+
 TEST(CascadeApi, ClassifierKnobsReachTheModelAndSurviveSaveLoad) {
   const auto split = testing::tiny_multimodal();
   api::ModelOptions opts;
@@ -171,9 +185,8 @@ TEST(CascadeApi, ClassifierKnobsReachTheModelAndSurviveSaveLoad) {
   opts.epochs = 2;
   opts.seed = 3;
   opts.cascade = true;
-  opts.cascade_mode = CascadeMode::kExact;
   opts.cascade_sample_fraction = 0.5;
-  opts.cascade_shortlist = 12;
+  opts.cascade_shortlist = opts.columns;  // covers the plane: exact
   auto clf = api::make("memhd", split.train.num_features(),
                        split.train.num_classes(), opts);
   clf->fit(split.train);
@@ -203,7 +216,6 @@ TEST(CascadeApi, HotSwapHammerWithShardedPrescreenPlanes) {
   opts.epochs = 2;
   opts.seed = 7;
   opts.cascade = true;
-  opts.cascade_mode = CascadeMode::kThreshold;
   opts.cascade_sample_fraction = 0.5;
   opts.cascade_shortlist = 8;
   auto model = api::make("memhd", split.train.num_features(),

@@ -23,11 +23,9 @@ Three record shapes are understood, keyed on the "bench" field:
 * cascade records ("bench": "cascade", produced by bench_cascade): the
   coarse-to-fine search cascade. Machine-independent checks always run —
   the workload is fully seeded, so every rate below is deterministic per
-  build: exact mode must report exact_identical at every plane size (the
-  margin-bound contract), the threshold shortlist must keep hit_rate >= 0.99
-  at every size, exact-mode fallbacks must stay <= 5%, stage-2 rescoring at
-  the largest size must touch <= 2% of rows (the pruning claim), and the
-  fitted-model accuracy delta must stay <= 0.5%. Speedups are within-run
+  build: the threshold shortlist must keep hit_rate >= 0.99 at every size,
+  stage-2 rescoring at the largest size must touch <= 2% of rows (the
+  pruning claim), and the fitted-model accuracy delta must stay <= 0.5%. Speedups are within-run
   ratios (cascade vs. exhaustive on the same host), so they transfer across
   machines: against bench/baselines/BENCH_cascade.json (when present) the
   largest size's threshold_speedup may not drop more than --threshold below
@@ -176,8 +174,8 @@ def check_serve(current, args):
 
 
 def check_cascade(current, args):
-    """Gate a bench_cascade record: exact mode must stay bit-identical, the
-    shortlist must keep recall, pruning must prune, accuracy must hold."""
+    """Gate a bench_cascade record: the shortlist must keep recall, pruning
+    must prune, accuracy must hold."""
     failures = []
     sizes = sorted((k for k in current
                     if k.startswith("ck_") and isinstance(current[k], dict)),
@@ -196,25 +194,13 @@ def check_cascade(current, args):
     for name in sizes:
         sec = current[name]
         line = (f"  {name:10s} thr {sec.get('threshold_speedup', 0.0):5.2f}x "
-                f"exa {sec.get('exact_speedup', 0.0):5.2f}x "
                 f"hit {sec.get('hit_rate', 0.0):7.4f} "
-                f"fallback {sec.get('fallback_rate', 0.0):7.4f} "
-                f"rescored {sec.get('rescored_fraction', 0.0):7.4f} "
-                f"identical {sec.get('exact_identical', False)}")
+                f"rescored {sec.get('rescored_fraction', 0.0):7.4f}")
         print(line)
-        if not sec.get("exact_identical", False):
-            failures.append(
-                f"{name}: exact-mode argmax is NOT identical to exhaustive "
-                f"— the margin-bound contract is broken")
         if sec.get("hit_rate", 0.0) < 0.99:
             failures.append(
                 f"{name}: threshold hit_rate {sec.get('hit_rate', 0.0):.4f} "
                 f"below the 0.99 floor — the shortlist is losing winners")
-        if sec.get("fallback_rate", 0.0) > 0.05:
-            failures.append(
-                f"{name}: exact-mode fallback_rate "
-                f"{sec.get('fallback_rate', 0.0):.4f} above 5% — the bound "
-                f"has stopped certifying")
     if current[largest].get("rescored_fraction", 1.0) > 0.02:
         failures.append(
             f"{largest}: rescored_fraction "
