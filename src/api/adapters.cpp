@@ -29,6 +29,12 @@ struct MemhdPredictContext final : Classifier::PredictContext {
   std::optional<common::BatchScorer> scorer;  // engaged iff cascade == null
   std::vector<std::uint32_t> best;
 };
+
+// The baseline frame's derivation byte is always 0, the counter stream. A 1
+// marks the sequential stream of pre-MHDAPI03 models, which no longer
+// loads.
+constexpr std::uint8_t kDerivationCounter = 0;
+constexpr std::uint8_t kDerivationSequential = 1;
 }  // namespace
 
 // ------------------------------------------------------------------ MEMHD --
@@ -167,13 +173,12 @@ void BaselineClassifier::save_payload(std::ostream& out) const {
   common::write_pod<std::uint64_t>(out, model_->num_classes());
   common::write_pod<float>(out, cfg.learning_rate);
   common::write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(cfg.basis));
-  common::write_pod<std::uint8_t>(
-      out, static_cast<std::uint8_t>(cfg.basis_derivation));
+  common::write_pod<std::uint8_t>(out, kDerivationCounter);
   model_->save_state(out);
 }
 
 std::unique_ptr<BaselineClassifier> BaselineClassifier::load_payload(
-    core::ModelKind kind, std::istream& in, unsigned container_revision) {
+    core::ModelKind kind, std::istream& in) {
   baselines::BaselineConfig cfg;
   cfg.dim = common::read_pod<std::uint64_t>(in);
   cfg.epochs = common::read_pod<std::uint64_t>(in);
@@ -183,19 +188,14 @@ std::unique_ptr<BaselineClassifier> BaselineClassifier::load_payload(
   const auto num_features = common::read_pod<std::uint64_t>(in);
   const auto num_classes = common::read_pod<std::uint64_t>(in);
   cfg.learning_rate = common::read_pod<float>(in);
-  if (container_revision >= 3) {
-    const auto basis = common::read_pod<std::uint8_t>(in);
-    const auto derivation = common::read_pod<std::uint8_t>(in);
-    if (basis > 1 || derivation > 1 || (basis == 1 && derivation == 1))
-      throw std::runtime_error("api::load: corrupt baseline model frame");
-    cfg.basis = static_cast<hdc::BasisKind>(basis);
-    cfg.basis_derivation = static_cast<hdc::BasisDerivation>(derivation);
-  } else {
-    // Pre-seam container: the projection plane came from the sequential
-    // stream and must keep doing so.
-    cfg.basis = hdc::BasisKind::kMaterialized;
-    cfg.basis_derivation = hdc::BasisDerivation::kLegacySequential;
-  }
+  const auto basis = common::read_pod<std::uint8_t>(in);
+  const auto derivation = common::read_pod<std::uint8_t>(in);
+  if (derivation == kDerivationSequential)
+    throw std::runtime_error(
+        "api::load: unsupported basis derivation (sequential stream)");
+  if (basis > 1 || derivation != kDerivationCounter)
+    throw std::runtime_error("api::load: corrupt baseline model frame");
+  cfg.basis = static_cast<hdc::BasisKind>(basis);
 
   // Corrupted frames must surface as the documented std::runtime_error, not
   // as contract aborts (or absurd allocations) further down. The 2^24 cap

@@ -95,10 +95,8 @@ class BaselineClassifier final : public Classifier {
   /// Writes the generic baseline frame (config + shape) followed by the
   /// model's save_state tensors; load_payload is the inverse.
   void save_payload(std::ostream& out) const override;
-  /// `container_revision` is the api container revision the frame was read
-  /// from (1 = MHDAPI01, before the basis bytes existed; 3 = MHDAPI03).
   static std::unique_ptr<BaselineClassifier> load_payload(
-      core::ModelKind kind, std::istream& in, unsigned container_revision);
+      core::ModelKind kind, std::istream& in);
 
   /// The wrapped baseline, for model-specific knobs (SearcHd::set_flip_rate,
   /// LeHdc::hyper(), ...).

@@ -127,7 +127,7 @@ class Classifier {
 };
 
 /// Writes `classifier` to `path` in the tagged container format:
-/// magic "MHDAPI01", u8 core::ModelKind, then the model payload (the MEMHD
+/// magic "MHDAPI03", u8 core::ModelKind, then the model payload (the MEMHD
 /// core record or the generic baseline record). Throws std::runtime_error.
 void save(const Classifier& classifier, const std::string& path);
 void save(const Classifier& classifier, std::ostream& out);

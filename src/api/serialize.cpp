@@ -6,15 +6,16 @@
 //   --- kind == kMemhd: the core record (src/core/serialize.cpp, own magic)
 //   --- otherwise: the generic baseline frame
 //       u64 dim, epochs, num_levels, n_models, seed, num_features,
-//           num_classes; f32 learning_rate; u8 basis; u8 basis_derivation
+//           num_classes; f32 learning_rate; u8 basis; u8 basis derivation
+//           (always 0, the counter stream)
 //       then BaselineModel::save_state payload (trained tensors only; the
 //       encoders are deterministic in the config and rebuilt on load)
 //
-// Revision history: MHDAPI01 is the pre-basis-seam layout (no basis bytes;
-// the projection plane derived from the legacy sequential stream) and still
-// loads. "MHDAPI02" was never an api container revision — the online
-// ModelStore container (src/online/store_io.cpp) uses that magic — so the
-// revision skips to 03.
+// Revision history: MHDAPI01 was the pre-basis-seam layout (no basis bytes);
+// its reader is gone and its magic throws "unsupported container revision".
+// "MHDAPI02" was never an api container revision — the online ModelStore
+// container (src/online/store_io.cpp) uses that magic — so the revision
+// skips to 03.
 //
 // One format for five model kinds means a serving process can reload
 // whatever the training job produced without knowing the kind up front —
@@ -33,12 +34,12 @@ using common::read_pod;
 using common::write_pod;
 
 namespace {
-constexpr char kMagicV1[8] = {'M', 'H', 'D', 'A', 'P', 'I', '0', '1'};
-constexpr char kMagicV3[8] = {'M', 'H', 'D', 'A', 'P', 'I', '0', '3'};
+constexpr char kMagic[8] = {'M', 'H', 'D', 'A', 'P', 'I', '0', '3'};
+constexpr char kRetiredMagic[8] = {'M', 'H', 'D', 'A', 'P', 'I', '0', '1'};
 }  // namespace
 
 void save(const Classifier& classifier, std::ostream& out) {
-  out.write(kMagicV3, sizeof(kMagicV3));
+  out.write(kMagic, sizeof(kMagic));
   write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(classifier.kind()));
   classifier.save_payload(out);
   if (!out) throw std::runtime_error("api::save: write failed");
@@ -55,12 +56,10 @@ std::unique_ptr<Classifier> load(std::istream& in) {
   char magic[8];
   in.read(magic, sizeof(magic));
   if (!in) throw std::runtime_error("api::load: bad magic");
-  unsigned revision = 0;
-  if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0)
-    revision = 3;
-  else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0)
-    revision = 1;
-  else
+  if (std::memcmp(magic, kRetiredMagic, sizeof(kRetiredMagic)) == 0)
+    throw std::runtime_error(
+        "api::load: unsupported container revision MHDAPI01");
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("api::load: bad magic");
 
   const auto tag = read_pod<std::uint8_t>(in);
@@ -68,11 +67,10 @@ std::unique_ptr<Classifier> load(std::istream& in) {
     throw std::runtime_error("api::load: unknown model kind tag");
   const auto kind = static_cast<core::ModelKind>(tag);
 
-  // The embedded core record carries its own revisioned magic, so the
-  // MEMHD branch needs no revision plumbing.
+  // The embedded core record carries its own magic.
   if (kind == core::ModelKind::kMemhd)
     return std::make_unique<MemhdClassifier>(core::load_model(in));
-  return BaselineClassifier::load_payload(kind, in, revision);
+  return BaselineClassifier::load_payload(kind, in);
 }
 
 std::unique_ptr<Classifier> load(const std::string& path) {

@@ -38,9 +38,6 @@ struct BaselineConfig {
   /// Projection-based baselines (BasicHDC) only: resident vs rematerialized
   /// encoder plane. Never changes outputs; ID-Level encoders ignore it.
   hdc::BasisKind basis = hdc::BasisKind::kMaterialized;
-  /// Stream the projection plane derives from; kLegacySequential is set by
-  /// the loader for pre-seam containers (see src/hdc/basis_provider.hpp).
-  hdc::BasisDerivation basis_derivation = hdc::BasisDerivation::kCounterStream;
 };
 
 class BaselineModel {

@@ -13,7 +13,6 @@ hdc::ProjectionEncoderConfig make_encoder_config(std::size_t num_features,
   ec.dim = cfg.dim;
   ec.seed = cfg.seed ^ 0xBA51CULL;
   ec.basis = cfg.basis;
-  ec.derivation = cfg.basis_derivation;
   return ec;
 }
 }  // namespace

@@ -58,10 +58,6 @@ struct MemhdConfig {
   /// mirror) or rematerialized on the fly from the seed with O(1) memory.
   /// Never changes model outputs — see src/hdc/basis_provider.hpp.
   hdc::BasisKind basis = hdc::BasisKind::kMaterialized;
-  /// Deterministic stream the plane derives from. kCounterStream for all
-  /// new models; kLegacySequential is set by the loader for pre-MEMHD002
-  /// containers so their encoder decodes to the plane they trained on.
-  hdc::BasisDerivation basis_derivation = hdc::BasisDerivation::kCounterStream;
   /// Coarse-to-fine associative search (src/search/): when enabled, batch
   /// and single-query prediction route through a two-stage cascade —
   /// bit-sampled prescreen, exact rescore of the shortlist — instead of

@@ -17,7 +17,6 @@ hdc::ProjectionEncoderConfig encoder_config(const MemhdConfig& cfg,
   ec.dim = cfg.dim;
   ec.seed = cfg.seed ^ 0xE0C0DE5ULL;
   ec.basis = cfg.basis;
-  ec.derivation = cfg.basis_derivation;
   return ec;
 }
 }  // namespace

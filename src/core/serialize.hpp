@@ -1,11 +1,15 @@
 // Binary model persistence.
 //
 // Layout (host byte order — little-endian on every supported target —
-// version-tagged):
-//   magic "MEMHD001"
+// version-tagged; the 115-byte header is pinned byte for byte in
+// tests/core/test_serialize.cpp):
+//   magic "MEMHD003"
 //   u64 dim, columns, num_features, num_classes, epochs, kmeans_iters, seed
 //   f64 initial_ratio; f32 learning_rate
 //   u8 init_method, allocation_policy, normalization_mode
+//   u8 basis kind; u8 basis derivation (always 0, the counter stream)
+//   u8 cascade enabled; u8 cascade mode (always 1, threshold)
+//   f64 cascade sample_fraction; u64 shortlist, early_exit_margin, seed
 //   u16[columns]            centroid owners
 //   f32[columns * dim]      FP shadow AM
 //   u64[columns * wpr]      packed binary AM rows
@@ -13,7 +17,10 @@
 // The projection encoder is NOT stored: it is deterministic in
 // (seed, num_features, dim) and is rebuilt on load. A reload therefore
 // reproduces bit-exact predictions, which tests/core/test_serialize.cpp
-// asserts.
+// asserts. The MEMHD001 and MEMHD002 revisions, and a derivation byte of 1
+// (the retired sequential stream), throw std::runtime_error naming what is
+// unsupported. A cascade mode byte of 0 (the retired exact mode, whose
+// contract was the exhaustive argmax) loads with the cascade disabled.
 //
 // The stream overloads exist so this record can be embedded in a larger
 // container — the tagged api:: model format (src/api/classifier.hpp) writes

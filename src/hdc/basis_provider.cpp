@@ -105,35 +105,28 @@ void expand_counter_rows(std::uint64_t seed, std::size_t d, std::size_t count,
 }  // namespace
 
 BasisProvider::BasisProvider(std::size_t dim, std::size_t num_features,
-                             std::uint64_t seed, BasisDerivation derivation)
+                             std::uint64_t seed)
     : dim_(dim),
       num_features_(num_features),
       words_per_row_(common::words_for_bits(num_features)),
-      seed_(seed),
-      derivation_(derivation) {
+      seed_(seed) {
   validate_shape(dim, num_features);
 }
 
 // ------------------------------------------------------------ materialized --
 
 MaterializedBasis::MaterializedBasis(std::size_t dim, std::size_t num_features,
-                                     std::uint64_t seed,
-                                     BasisDerivation derivation)
-    : BasisProvider(dim, num_features, seed, derivation) {
-  if (derivation == BasisDerivation::kLegacySequential) {
-    common::Rng rng(seed);
-    signs_ = common::BitMatrix::random(dim, num_features, rng);
-  } else {
-    // Cache the counter stream: identical bits to what RematerializedBasis
-    // replays on the fly (the cross-mode bit-identity contract).
-    signs_ = common::BitMatrix(dim, num_features);
-    const std::uint64_t mask = common::tail_mask(num_features);
-    for (std::size_t d = 0; d < dim; ++d) {
-      std::uint64_t* row = signs_.row(d);
-      basis_words(seed, static_cast<std::uint64_t>(d) * words_per_row_,
-                  words_per_row_, row);
-      row[words_per_row_ - 1] &= mask;
-    }
+                                     std::uint64_t seed)
+    : BasisProvider(dim, num_features, seed),
+      signs_(dim, num_features) {
+  // Cache the counter stream: identical bits to what RematerializedBasis
+  // replays on the fly (the cross-mode bit-identity contract).
+  const std::uint64_t mask = common::tail_mask(num_features);
+  for (std::size_t d = 0; d < dim; ++d) {
+    std::uint64_t* row = signs_.row(d);
+    basis_words(seed, static_cast<std::uint64_t>(d) * words_per_row_,
+                words_per_row_, row);
+    row[words_per_row_ - 1] &= mask;
   }
   weights_ = common::Matrix(dim, num_features);
   for (std::size_t d = 0; d < dim; ++d) {
@@ -190,14 +183,8 @@ std::size_t MaterializedBasis::resident_bytes() const {
 
 RematerializedBasis::RematerializedBasis(std::size_t dim,
                                          std::size_t num_features,
-                                         std::uint64_t seed,
-                                         BasisDerivation derivation)
-    : BasisProvider(dim, num_features, seed, derivation) {
-  if (derivation != BasisDerivation::kCounterStream)
-    throw ConfigError(
-        "basis provider: a rematerialized basis requires the counter-mode "
-        "derivation (a sequential stream has no O(1) random access)");
-}
+                                         std::uint64_t seed)
+    : BasisProvider(dim, num_features, seed) {}
 
 void RematerializedBasis::float_rows(std::size_t d, std::size_t count,
                                      float* scratch,
@@ -261,16 +248,16 @@ common::BitMatrix RematerializedBasis::em_tile(std::size_t f0, std::size_t f1,
 // -------------------------------------------------------------------- make --
 
 std::shared_ptr<const BasisProvider> make_basis_provider(
-    BasisKind kind, BasisDerivation derivation, std::size_t dim,
-    std::size_t num_features, std::uint64_t seed) {
+    BasisKind kind, std::size_t dim, std::size_t num_features,
+    std::uint64_t seed) {
   validate_shape(dim, num_features);
   switch (kind) {
     case BasisKind::kMaterialized:
       return std::make_shared<const MaterializedBasis>(dim, num_features,
-                                                       seed, derivation);
+                                                       seed);
     case BasisKind::kRematerialized:
       return std::make_shared<const RematerializedBasis>(dim, num_features,
-                                                         seed, derivation);
+                                                         seed);
   }
   throw ConfigError("basis provider: unknown basis kind " +
                     std::to_string(static_cast<unsigned>(kind)));

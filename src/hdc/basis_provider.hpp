@@ -18,12 +18,8 @@
 //
 // The counter layout (row-major, words_per_row = ceil(f / 64) words per row,
 // tail bits masked) is a SERIALIZATION CONTRACT: model files persist only
-// {seed, shape, derivation}, so changing the layout silently corrupts every
-// saved model. BasisDerivation::kLegacySequential exists purely to honor
-// that contract for containers written before this seam existed (they
-// re-derive their plane from the original sequential xoshiro stream);
-// kCounterStream is the only derivation new models use and the only one a
-// RematerializedBasis can replay.
+// {seed, shape}, so changing the layout silently corrupts every saved
+// model.
 //
 // Thread contract: providers are IMMUTABLE after construction — no locks,
 // no mutable members. One provider is safely shared, unsynchronized, by all
@@ -53,21 +49,9 @@ enum class BasisKind : std::uint8_t {
   kRematerialized = 1,  // regenerated per tile from the seed, never stored
 };
 
-/// Which deterministic stream the plane is derived from. Persisted in model
-/// containers; see the header comment.
-enum class BasisDerivation : std::uint8_t {
-  /// basis_word(seed, counter) per word, counter = d * words_per_row + w.
-  /// O(1) random access; the only derivation RematerializedBasis supports.
-  kCounterStream = 0,
-  /// Pre-seam stream: BitMatrix::random over a sequential xoshiro256**
-  /// seeded with the encoder seed. Exists only so MEMHD001 / MHDAPI01
-  /// containers keep decoding to the plane they were trained on.
-  kLegacySequential = 1,
-};
-
-/// Typed construction-time configuration error (degenerate shapes,
-/// impossible mode combinations). Thrown instead of aborting so API callers
-/// can surface bad requests as errors.
+/// Typed construction-time configuration error (degenerate shapes, unknown
+/// basis kinds). Thrown instead of aborting so API callers can surface bad
+/// requests as errors.
 class ConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -89,7 +73,7 @@ void basis_words(std::uint64_t seed, std::uint64_t counter, std::size_t count,
 
 /// Abstract source of the D x f bipolar sign plane. All row/word/tile
 /// accessors return identical bits across implementations for the same
-/// (seed, shape, derivation).
+/// (seed, shape).
 class BasisProvider {
  public:
   virtual ~BasisProvider() = default;
@@ -97,7 +81,6 @@ class BasisProvider {
   BasisProvider& operator=(const BasisProvider&) = delete;
 
   virtual BasisKind kind() const = 0;
-  BasisDerivation derivation() const { return derivation_; }
   std::size_t dim() const { return dim_; }
   std::size_t num_features() const { return num_features_; }
   std::size_t words_per_row() const { return words_per_row_; }
@@ -146,23 +129,20 @@ class BasisProvider {
   virtual std::size_t resident_bytes() const = 0;
 
  protected:
-  BasisProvider(std::size_t dim, std::size_t num_features, std::uint64_t seed,
-                BasisDerivation derivation);
+  BasisProvider(std::size_t dim, std::size_t num_features, std::uint64_t seed);
 
   std::size_t dim_;
   std::size_t num_features_;
   std::size_t words_per_row_;
   std::uint64_t seed_;
-  BasisDerivation derivation_;
 };
 
-/// The resident plane: packed signs plus the float mirror the blocked
-/// encode kernels stream. Supports both derivations (kLegacySequential only
-/// here — a sequential stream cannot be replayed at random offsets).
+/// The resident plane: the packed counter-stream signs plus their float
+/// mirror.
 class MaterializedBasis final : public BasisProvider {
  public:
   MaterializedBasis(std::size_t dim, std::size_t num_features,
-                    std::uint64_t seed, BasisDerivation derivation);
+                    std::uint64_t seed);
 
   BasisKind kind() const override { return BasisKind::kMaterialized; }
   void float_rows(std::size_t d, std::size_t count, float* scratch,
@@ -184,11 +164,11 @@ class MaterializedBasis final : public BasisProvider {
 };
 
 /// The O(1) plane: nothing resident but the seed and shape; every accessor
-/// replays the counter-mode stream. Rejects kLegacySequential (ConfigError).
+/// replays the counter-mode stream.
 class RematerializedBasis final : public BasisProvider {
  public:
   RematerializedBasis(std::size_t dim, std::size_t num_features,
-                      std::uint64_t seed, BasisDerivation derivation);
+                      std::uint64_t seed);
 
   BasisKind kind() const override { return BasisKind::kRematerialized; }
   void float_rows(std::size_t d, std::size_t count, float* scratch,
@@ -239,10 +219,10 @@ inline void expand_sign_word(std::uint64_t word, float* out) {
 #endif
 }
 
-/// Factory. Throws ConfigError for dim == 0, num_features == 0, or
-/// kRematerialized + kLegacySequential.
+/// Factory. Throws ConfigError for dim == 0, num_features == 0, or an
+/// unknown kind.
 std::shared_ptr<const BasisProvider> make_basis_provider(
-    BasisKind kind, BasisDerivation derivation, std::size_t dim,
-    std::size_t num_features, std::uint64_t seed);
+    BasisKind kind, std::size_t dim, std::size_t num_features,
+    std::uint64_t seed);
 
 }  // namespace memhd::hdc

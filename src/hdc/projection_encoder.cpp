@@ -9,7 +9,7 @@ namespace memhd::hdc {
 
 ProjectionEncoder::ProjectionEncoder(const ProjectionEncoderConfig& config)
     : config_(config),
-      basis_(make_basis_provider(config.basis, config.derivation, config.dim,
+      basis_(make_basis_provider(config.basis, config.dim,
                                  config.num_features, config.seed)) {}
 
 const common::BitMatrix& ProjectionEncoder::sign_matrix() const {

@@ -49,22 +49,17 @@ struct ProjectionEncoderConfig {
   /// Where the sign plane lives (resident vs regenerated). Never changes
   /// encoder outputs — see the header comment.
   BasisKind basis = BasisKind::kMaterialized;
-  /// Which deterministic stream derives the plane. kCounterStream for all
-  /// new models; kLegacySequential only when loading pre-seam containers.
-  BasisDerivation derivation = BasisDerivation::kCounterStream;
 };
 
 class ProjectionEncoder {
  public:
-  /// Throws ConfigError for num_features == 0, dim == 0, or a
-  /// rematerialized basis paired with the legacy sequential derivation.
+  /// Throws ConfigError for num_features == 0 or dim == 0.
   explicit ProjectionEncoder(const ProjectionEncoderConfig& config);
 
   std::size_t num_features() const { return config_.num_features; }
   std::size_t dim() const { return config_.dim; }
   BinarizeMode binarize_mode() const { return config_.binarize; }
   BasisKind basis_kind() const { return config_.basis; }
-  BasisDerivation derivation() const { return config_.derivation; }
 
   /// Encodes one feature vector (length num_features) into a packed binary
   /// hypervector of length dim.

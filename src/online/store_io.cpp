@@ -8,8 +8,7 @@
 //     u64 id, u64 parent, u64 samples_trained
 //     one tagged api::save frame (self-delimiting; api::load consumes it)
 //
-// The single-model api container is untouched: api::load still reads every
-// pre-version "MHDAPI01" file (and writes "MHDAPI03" today), and embedding
+// The single-model api container ("MHDAPI03") is untouched, and embedding
 // whole api::save frames here means one reader serves both layers.
 #include <cstring>
 #include <fstream>

@@ -273,52 +273,61 @@ TEST(ApiSerializeLayout, Mhdapi03BaselineFrameHeader) {
   EXPECT_EQ(rem.substr(138), "0100");
 }
 
-TEST(ApiSerialize, LegacyBaselineFrameLoadsWithSequentialDerivation) {
-  // A pre-seam MHDAPI01 BasicHDC container (no basis bytes in the frame)
-  // must load with the legacy sequential derivation and predict exactly
-  // what it predicted when written.
-  const auto split = testing::tiny_multimodal(/*seed=*/28,
-                                              /*train_per_class=*/30,
-                                              /*test_per_class=*/15);
-  baselines::BaselineConfig cfg;
-  cfg.dim = 256;
-  cfg.epochs = 0;
-  cfg.seed = 9;
-  cfg.basis_derivation = hdc::BasisDerivation::kLegacySequential;
-  auto legacy = std::make_unique<BaselineClassifier>(baselines::make_baseline(
-      core::ModelKind::kBasicHDC, split.train.num_features(),
-      split.train.num_classes(), cfg));
-  legacy->model().fit(split.train);
-  const auto expected = legacy->predict_batch(split.test.features());
+/// The api::save bytes of a small fitted BasicHDC model.
+std::string saved_basichdc() {
+  const auto split = testing::tiny_multimodal(/*seed=*/29,
+                                              /*train_per_class=*/10,
+                                              /*test_per_class=*/5);
+  auto model = api::make("basichdc", split.train.num_features(),
+                         split.train.num_classes(),
+                         small_options(core::ModelKind::kBasicHDC));
+  model->fit(split.train);
+  std::ostringstream out(std::ios::binary);
+  api::save(*model, out);
+  return out.str();
+}
 
-  const std::string path = temp_model_path("api_legacy_frame.mhd");
-  api::save(*legacy, path);
-  // Rewrite the MHDAPI03 container as MHDAPI01: magic revision back to 1
-  // and the two basis bytes (at offset magic 8 + tag 1 + u64*7 + f32 = 69)
-  // spliced out.
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+// Both api::load overloads must reject `bytes` with a std::runtime_error
+// whose message contains `needle`.
+void expect_load_error(const std::string& bytes, const std::string& needle) {
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    api::load(in);
+    ADD_FAILURE() << "stream overload loaded the bytes; want " << needle;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
   }
-  ASSERT_GT(bytes.size(), 71u);
-  ASSERT_EQ(bytes.substr(0, 8), "MHDAPI03");
-  bytes[7] = '1';
-  bytes.erase(69, 2);
+  const std::string path = temp_model_path("api_load_error.mhd");
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-
-  const auto loaded = api::load(path);
+  try {
+    api::load(path);
+    ADD_FAILURE() << "path overload loaded the bytes; want " << needle;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->predict_batch(split.test.features()), expected);
-  const auto* adapter = dynamic_cast<const BaselineClassifier*>(loaded.get());
-  ASSERT_NE(adapter, nullptr);
-  EXPECT_EQ(adapter->model().config().basis_derivation,
-            hdc::BasisDerivation::kLegacySequential);
+}
+
+TEST(ApiSerialize, RetiredRevisionThrowsNamingTheRevision) {
+  std::string bytes = saved_basichdc();
+  bytes.replace(0, 8, "MHDAPI01");
+  expect_load_error(bytes, "unsupported container revision MHDAPI01");
+}
+
+TEST(ApiSerialize, DerivationByteOtherThanCounterStreamThrows) {
+  // Offset 69 is the basis kind, 70 the derivation: 1 was the retired
+  // sequential stream, anything above it was never written.
+  std::string bytes = saved_basichdc();
+  ASSERT_EQ(bytes[70], 0);
+  bytes[70] = 1;
+  expect_load_error(bytes, "unsupported basis derivation");
+  bytes[70] = 2;
+  expect_load_error(bytes, "corrupt baseline model frame");
 }
 
 TEST(ApiSerialize, LoadRejectsGarbage) {
@@ -334,15 +343,11 @@ TEST(ApiSerialize, LoadRejectsGarbage) {
 TEST(ApiSerialize, LoadThrowsOnCorruptFrameInsteadOfAborting) {
   // Valid magic + kind tag, zeroed config/shape frame: must surface as the
   // documented runtime_error, not as a contract abort deeper in the stack.
-  const std::string path = temp_model_path("api_zero_frame.mhd");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("MHDAPI01", f);
-  const char zeros[1 + 7 * 8 + 4] = {};  // tag 0 (BasicHDC) + empty frame
-  std::fwrite(zeros, 1, sizeof(zeros), f);
-  std::fclose(f);
-  EXPECT_THROW(api::load(path), std::runtime_error);
-  std::remove(path.c_str());
+  // Tag 0 (BasicHDC), u64*7 + f32 of zeros, then the two basis bytes (a
+  // materialized counter-stream basis), so the frame checks are reached.
+  const std::string bytes =
+      std::string("MHDAPI03") + std::string(1 + 7 * 8 + 4 + 2, '\0');
+  expect_load_error(bytes, "corrupt baseline model frame");
 }
 
 }  // namespace

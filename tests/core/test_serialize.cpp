@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -128,8 +127,6 @@ TEST(Serialize, RematRoundTripPreservesEverything) {
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.config().basis, hdc::BasisKind::kRematerialized);
-  EXPECT_EQ(loaded.config().basis_derivation,
-            hdc::BasisDerivation::kCounterStream);
   // The loaded encoder plane is seed-only, not a resident matrix.
   EXPECT_LE(loaded.encoder().resident_bytes(), 64u);
   EXPECT_TRUE(loaded.am().binary() == model.am().binary());
@@ -147,66 +144,64 @@ TEST(Serialize, RematRoundTripPreservesEverything) {
   EXPECT_TRUE(mat.am().binary() == loaded.am().binary());
 }
 
-TEST(Serialize, LegacyContainerLoadsWithSequentialDerivation) {
-  // Hand-build a MEMHD001 container (the pre-basis-seam layout: same
-  // header minus the two trailing basis bytes) and check the loader pins
-  // the legacy sequential derivation so the plane decodes unchanged.
-  const auto split = testing::tiny_separable();
-  auto cfg = small_config();
-  cfg.basis_derivation = hdc::BasisDerivation::kLegacySequential;
-  MemhdModel model(cfg, split.train.num_features(),
-                   split.train.num_classes());
-  model.fit(split.train);
-
-  const std::string path = temp_model_path("memhd_legacy.model");
-  model.save(path);
-  // v3 layout: magic(8) u64*7(56) f64(8) f32(4) u8*3(3) basis-u8*2(2)
-  // cascade u8*2+f64+u64*3(34)... Rewrite to v1: swap the magic revision
-  // and splice out the basis + cascade bytes 79..114.
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 115u);
-  ASSERT_EQ(bytes.substr(0, 8), "MEMHD003");
-  bytes[7] = '1';
-  bytes.erase(79, 36);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  const MemhdModel loaded = MemhdModel::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.config().basis, hdc::BasisKind::kMaterialized);
-  EXPECT_EQ(loaded.config().basis_derivation,
-            hdc::BasisDerivation::kLegacySequential);
-  EXPECT_TRUE(loaded.am().binary() == model.am().binary());
-  for (std::size_t i = 0; i < split.test.size(); ++i)
-    EXPECT_EQ(loaded.predict(split.test.sample(i)),
-              model.predict(split.test.sample(i)));
+std::string saved_bytes(const MemhdModel& model) {
+  std::ostringstream out(std::ios::binary);
+  save_model(model, out);
+  return out.str();
 }
 
-TEST(Serialize, RematLegacyComboRejectedAsCorrupt) {
-  // basis = rematerialized + derivation = legacy is unconstructible; a
-  // container claiming it must be rejected as corrupt, not aborted on.
+// Both load_model overloads must reject `bytes` with a std::runtime_error
+// whose message contains `needle`.
+void expect_load_error(const std::string& bytes, const std::string& needle) {
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    load_model(in);
+    ADD_FAILURE() << "stream overload loaded the bytes; want " << needle;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+  const std::string path = temp_model_path("memhd_load_error.model");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    load_model(path);
+    ADD_FAILURE() << "path overload loaded the bytes; want " << needle;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, RetiredRevisionsThrowNamingTheRevision) {
   const auto split = testing::tiny_separable();
   MemhdModel model(small_config(), split.train.num_features(),
                    split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_model_path("memhd_badcombo.model");
-  model.save(path);
-  {
-    std::fstream io(path,
-                    std::ios::binary | std::ios::in | std::ios::out);
-    io.seekp(79);
-    const char combo[2] = {1, 1};  // rematerialized + legacy
-    io.write(combo, 2);
+  const std::string bytes = saved_bytes(model);
+  for (const std::string magic : {"MEMHD001", "MEMHD002"}) {
+    std::string retired = bytes;
+    retired.replace(0, 8, magic);
+    expect_load_error(retired, "unsupported container revision " + magic);
   }
-  EXPECT_THROW(load_model(path), std::runtime_error);
-  std::remove(path.c_str());
+}
+
+TEST(Serialize, DerivationByteOtherThanCounterStreamThrows) {
+  // Offset 79 is the basis kind, 80 the derivation: 1 was the retired
+  // sequential stream, anything above it was never written.
+  const auto split = testing::tiny_separable();
+  MemhdModel model(small_config(), split.train.num_features(),
+                   split.train.num_classes());
+  model.fit(split.train);
+  std::string bytes = saved_bytes(model);
+  ASSERT_EQ(bytes[80], 0);
+  bytes[80] = 1;
+  expect_load_error(bytes, "unsupported basis derivation");
+  bytes[80] = 2;
+  expect_load_error(bytes, "corrupt model header");
 }
 
 // Hex of the first `n` bytes a save_model call writes.

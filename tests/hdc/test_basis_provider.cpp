@@ -92,11 +92,9 @@ TEST(BasisWord, BulkFormMatchesScalarAtEveryAlignment) {
 
 TEST(BasisProvider, WordsRowsAndTilesIdenticalAcrossKinds) {
   for (const auto& [nf, dim] : kOddShapes) {
-    const auto mat = make_basis_provider(
-        BasisKind::kMaterialized, BasisDerivation::kCounterStream, dim, nf, 9);
-    const auto rem = make_basis_provider(BasisKind::kRematerialized,
-                                         BasisDerivation::kCounterStream, dim,
-                                         nf, 9);
+    const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 9);
+    const auto rem =
+        make_basis_provider(BasisKind::kRematerialized, dim, nf, 9);
     ASSERT_EQ(mat->words_per_row(), rem->words_per_row());
     const std::size_t wpr = mat->words_per_row();
 
@@ -134,11 +132,9 @@ TEST(BasisProvider, SignRowsMatchSignWordsAcrossKindsAndGroupSizes) {
   // for word to the per-row sign_words accessor, at every group size the
   // encoder uses (1, the kRowGroup of 4) plus odd and overshooting splits.
   for (const auto& [nf, dim] : kOddShapes) {
-    const auto mat = make_basis_provider(
-        BasisKind::kMaterialized, BasisDerivation::kCounterStream, dim, nf, 9);
-    const auto rem = make_basis_provider(BasisKind::kRematerialized,
-                                         BasisDerivation::kCounterStream, dim,
-                                         nf, 9);
+    const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 9);
+    const auto rem =
+        make_basis_provider(BasisKind::kRematerialized, dim, nf, 9);
     const std::size_t wpr = mat->words_per_row();
     std::vector<std::uint32_t> all_words(wpr);
     for (std::size_t w = 0; w < wpr; ++w)
@@ -171,8 +167,7 @@ TEST(BasisProvider, SignRowsMatchSignWordsAcrossKindsAndGroupSizes) {
 TEST(BasisProvider, TailBitsAreMasked) {
   // Padding bits past num_features must be zero in every word surface, or
   // packed popcount-based consumers would see phantom features.
-  const auto rem = make_basis_provider(
-      BasisKind::kRematerialized, BasisDerivation::kCounterStream, 8, 65, 3);
+  const auto rem = make_basis_provider(BasisKind::kRematerialized, 8, 65, 3);
   const std::uint32_t last = 1;  // word 1 covers feature 64 (+63 pad bits)
   std::uint64_t word = ~0ULL;
   for (std::size_t d = 0; d < 8; ++d) {
@@ -183,11 +178,8 @@ TEST(BasisProvider, TailBitsAreMasked) {
 
 TEST(BasisProvider, ResidentBytesContrast) {
   const std::size_t nf = 128, dim = 4096;
-  const auto mat = make_basis_provider(
-      BasisKind::kMaterialized, BasisDerivation::kCounterStream, dim, nf, 1);
-  const auto rem = make_basis_provider(BasisKind::kRematerialized,
-                                       BasisDerivation::kCounterStream, dim,
-                                       nf, 1);
+  const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 1);
+  const auto rem = make_basis_provider(BasisKind::kRematerialized, dim, nf, 1);
   // Both model the same f x D deployed bits...
   EXPECT_EQ(mat->model_bits(), nf * dim);
   EXPECT_EQ(rem->model_bits(), nf * dim);
@@ -199,31 +191,10 @@ TEST(BasisProvider, ResidentBytesContrast) {
 }
 
 TEST(BasisProvider, ConfigErrors) {
-  EXPECT_THROW(make_basis_provider(BasisKind::kMaterialized,
-                                   BasisDerivation::kCounterStream, 0, 8, 1),
+  EXPECT_THROW(make_basis_provider(BasisKind::kMaterialized, 0, 8, 1),
                ConfigError);
-  EXPECT_THROW(make_basis_provider(BasisKind::kRematerialized,
-                                   BasisDerivation::kCounterStream, 8, 0, 1),
+  EXPECT_THROW(make_basis_provider(BasisKind::kRematerialized, 8, 0, 1),
                ConfigError);
-  // A sequential stream has no random access to rematerialize from.
-  EXPECT_THROW(
-      make_basis_provider(BasisKind::kRematerialized,
-                          BasisDerivation::kLegacySequential, 8, 8, 1),
-      ConfigError);
-}
-
-TEST(BasisProvider, LegacyDerivationMatchesBitMatrixRandom) {
-  // kLegacySequential must keep reproducing the pre-seam plane exactly:
-  // BitMatrix::random over an Rng seeded with the encoder seed.
-  const std::size_t dim = 33, nf = 127;
-  const auto legacy =
-      make_basis_provider(BasisKind::kMaterialized,
-                          BasisDerivation::kLegacySequential, dim, nf, 77);
-  common::Rng rng(77);
-  const auto expected = common::BitMatrix::random(dim, nf, rng);
-  const auto* mat = dynamic_cast<const MaterializedBasis*>(legacy.get());
-  ASSERT_NE(mat, nullptr);
-  EXPECT_TRUE(mat->sign_matrix() == expected);
 }
 
 // ------------------------------------------------ encoder-level identity

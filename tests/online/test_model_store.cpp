@@ -1,6 +1,6 @@
 // ModelStore: COW versioning semantics, swap/rollback, retention, the
-// MHDAPI02 lineage round-trip (bit-identical per version), and backward
-// compatibility of the pre-version MHDAPI01 container.
+// MHDAPI02 lineage round-trip (bit-identical per version), and how a
+// single-model api::save file relates to the store container.
 #include "src/online/model_store.hpp"
 
 #include <sstream>
@@ -182,10 +182,10 @@ TEST(ModelStore, LineageRoundTripsBitIdentically) {
             loaded->pin().model->predict_batch(f.split.test.features()));
 }
 
-TEST(ModelStore, PreVersionContainerStillLoads) {
-  // Satellite (c): a plain MHDAPI01 file written by api::save keeps loading
-  // through api::load — the MHDAPI02 store container did not disturb it —
-  // and can seed a fresh store as v0.
+TEST(ModelStore, SingleModelFileSeedsAStoreButIsNotOne) {
+  // A single-model MHDAPI03 file written by api::save loads through
+  // api::load — the MHDAPI02 store container did not disturb it — and can
+  // seed a fresh store as v0.
   const auto& f = fixture();
   auto model = f.fitted();
   const auto direct = model->predict_batch(f.split.test.features());
