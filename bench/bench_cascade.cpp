@@ -29,6 +29,7 @@
 #include "src/common/bit_matrix.hpp"
 #include "src/common/bit_vector.hpp"
 #include "src/common/bitops_batch.hpp"
+#include "src/common/kernels/backend.hpp"
 #include "src/common/cli.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
@@ -193,7 +194,7 @@ int run(int argc, const char* const* argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"cascade\",\n");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::batch_kernel_name());
+  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::active_backend().name);
   std::fprintf(f, "  \"threads\": %u,\n", common::configured_num_threads());
   std::fprintf(f, "  \"dim\": %zu,\n", bits);
   std::fprintf(f, "  \"queries\": %zu,\n", nq);
@@ -224,7 +225,7 @@ int run(int argc, const char* const* argv) {
   if (!json_only) {
     std::printf("cascade search [%s kernel, %u thread(s), D=%zu, %zu "
                 "queries]:\n",
-                common::batch_kernel_name(),
+                common::active_backend().name,
                 common::configured_num_threads(), bits, nq);
     std::printf("  %8s %12s %12s %8s %9s %9s\n", "C*K", "exhaust q/s",
                 "thresh q/s", "thr x", "hit", "rescored");

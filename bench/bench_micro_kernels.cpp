@@ -27,6 +27,7 @@
 #include "src/clustering/kmeans.hpp"
 #include "src/common/bit_matrix.hpp"
 #include "src/common/bitops_batch.hpp"
+#include "src/common/kernels/backend.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
@@ -243,7 +244,7 @@ PathComparison compare_associative_search(std::size_t dim,
     qs.push_back(common::BitVector::random(dim, rng));
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<std::uint32_t> scalar_best(batch);
   const double t_scalar = best_seconds(reps, [&] {
     for (std::size_t q = 0; q < batch; ++q) {
@@ -276,7 +277,7 @@ PathComparison compare_score_table(std::size_t dim, std::size_t centroids,
   for (std::size_t q = 0; q < batch; ++q) qs.push_back(queries.row_vector(q));
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<std::uint32_t> scalar_scores(batch * centroids);
   std::vector<std::uint32_t> row;
   const double t_scalar = best_seconds(reps, [&] {
@@ -309,7 +310,7 @@ PathComparison compare_projection_encode(std::size_t num_features,
       common::Matrix::random_uniform(batch, num_features, rng);
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<common::BitVector> scalar_out(batch);
   const double t_scalar = best_seconds(reps, [&] {
     for (std::size_t s = 0; s < batch; ++s)
@@ -343,7 +344,7 @@ PathComparison compare_encode_remat(std::size_t num_features, std::size_t dim,
       common::Matrix::random_uniform(batch, num_features, rng);
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<common::BitVector> mat_out;
   const double t_mat =
       best_seconds(reps, [&] { mat_out = mat.encode_batch(features); });
@@ -385,7 +386,7 @@ PathComparison compare_partitioned_search(std::size_t dim,
   imc::PartitionedAm batch_am(am, partitions, geometry);
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<std::uint32_t> scalar_scores(batch * classes);
   const double t_scalar = best_seconds(reps, [&] {
     for (std::size_t q = 0; q < batch; ++q) {
@@ -412,7 +413,7 @@ PathComparison compare_partitioned_search(std::size_t dim,
 PathComparison compare_noise_inject(std::size_t rows, std::size_t cols,
                                     double p, int reps) {
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   const double cells = static_cast<double>(rows * cols);
 
   const double t_scalar = best_seconds(reps, [&] {
@@ -457,7 +458,7 @@ PathComparison compare_kmeans_assign(std::size_t n, std::size_t k,
   const common::Matrix centroids = common::Matrix::random_normal(k, dim, rng);
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<std::uint32_t> scalar_out(n);
   const double t_scalar = best_seconds(reps, [&] {
     for (std::size_t i = 0; i < n; ++i)
@@ -493,7 +494,7 @@ PathComparison compare_fp_validate(std::size_t rows, std::size_t dim,
     all[c] = static_cast<std::uint32_t>(c);
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   std::vector<std::uint32_t> scalar_out(rows);
   const double t_scalar = best_seconds(reps, [&] {
     std::vector<float> scores(columns);
@@ -592,7 +593,7 @@ PathComparison compare_serve_sharded(std::size_t shards, std::size_t dim,
   };
 
   PathComparison cmp;
-  cmp.backend = common::batch_kernel_name();
+  cmp.backend = common::active_backend().name;
   const auto unsharded_server = make_server(1);
   const auto sharded_server = make_server(shards);
   std::vector<data::Label> unsharded;
@@ -675,7 +676,7 @@ int run_json_suite() {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::batch_kernel_name());
+  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::active_backend().name);
   std::fprintf(f, "  \"threads\": %u,\n", common::configured_num_threads());
   write_comparison(f, "associative_search", search, 2048, 256, 1024,
                    "centroids", /*trailing_comma=*/true);
@@ -720,7 +721,7 @@ int run_json_suite() {
       "associative search (predict) D=2048 C=256 B=1024 [%s, %u thread(s)]:\n"
       "  scalar %.0f q/s | batched %.0f q/s | speedup %.2fx | bit-identical "
       "%s\n",
-      common::batch_kernel_name(), common::configured_num_threads(),
+      common::active_backend().name, common::configured_num_threads(),
       search.scalar_per_sec, search.batch_per_sec, search.speedup(),
       search.bit_identical ? "yes" : "NO");
   std::printf(

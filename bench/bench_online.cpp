@@ -31,6 +31,7 @@
 #include "src/api/batch_server.hpp"
 #include "src/api/registry.hpp"
 #include "src/common/bitops_batch.hpp"
+#include "src/common/kernels/backend.hpp"
 #include "src/common/cli.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
@@ -233,7 +234,7 @@ int run(int argc, const char* const* argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"online\",\n");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::batch_kernel_name());
+  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::active_backend().name);
   std::fprintf(f, "  \"threads\": %u,\n", common::configured_num_threads());
   std::fprintf(f, "  \"anchor_queries_per_sec\": %.1f,\n", no_swap.qps);
   std::fprintf(f, "  \"partial_fit_samples_per_sec\": %.1f,\n",
@@ -261,7 +262,7 @@ int run(int argc, const char* const* argv) {
 
   if (!json_only) {
     std::printf("online learning [%s kernel, %u thread(s)]:\n",
-                common::batch_kernel_name(),
+                common::active_backend().name,
                 common::configured_num_threads());
     std::printf("  partial_fit      %12.0f samples/s\n",
                 train_samples_per_sec);

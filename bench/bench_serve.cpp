@@ -31,6 +31,7 @@
 
 #include "src/api/registry.hpp"
 #include "src/common/bitops_batch.hpp"
+#include "src/common/kernels/backend.hpp"
 #include "src/common/cli.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
@@ -244,7 +245,7 @@ void write_json(const std::string& path, double capacity_qps,
   static const char* kSections[3] = {"load_0.5x", "load_1x", "load_2x"};
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"serve\",\n");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::batch_kernel_name());
+  std::fprintf(f, "  \"kernel\": \"%s\",\n", common::active_backend().name);
   std::fprintf(f, "  \"threads\": %u,\n", common::configured_num_threads());
   std::fprintf(f, "  \"max_pending\": %zu,\n", kMaxPending);
   std::fprintf(f, "  \"capacity_qps\": %.1f,\n", capacity_qps);
@@ -346,7 +347,7 @@ int run(int argc, const char* const* argv) {
     std::printf(
         "\nserve ingress [%s kernel, %u thread(s)], capacity %.0f q/s, "
         "max_pending %zu:\n",
-        common::batch_kernel_name(), common::configured_num_threads(),
+        common::active_backend().name, common::configured_num_threads(),
         capacity, kMaxPending);
     std::printf("  %-6s %12s %12s %9s %9s %10s\n", "load", "offered q/s",
                 "achieved q/s", "p50 ms", "p99 ms", "reject");

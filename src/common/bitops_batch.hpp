@@ -50,12 +50,6 @@ inline std::vector<const std::uint64_t*> query_word_ptrs(
 
 struct KernelBackend;
 
-/// Name of the active kernel backend, for logs and benchmark records.
-/// Deprecated alias for active_backend().name (kernels/backend.hpp) — which
-/// also provides select_backend() to switch backends at runtime, replacing
-/// the old once-per-process MEMHD_BATCH_KERNEL latch.
-const char* batch_kernel_name();
-
 /// Scores every query row pointer against every row of `rows`:
 /// out[q * rows.rows() + r] = popcount(rows.row(r) OP queries[q]).
 /// Each queries[q] must point at words_for_bits(rows.cols()) words with the

@@ -108,6 +108,4 @@ bool select_backend(std::string_view name) {
   return true;
 }
 
-const char* batch_kernel_name() { return active_backend().name; }
-
 }  // namespace memhd::common

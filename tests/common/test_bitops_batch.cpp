@@ -35,12 +35,6 @@ std::vector<BitVector> random_queries(std::size_t n, std::size_t dim,
   return qs;
 }
 
-TEST(BitopsBatch, KernelNameIsStable) {
-  const char* name = batch_kernel_name();
-  ASSERT_NE(name, nullptr);
-  EXPECT_STREQ(name, batch_kernel_name());
-}
-
 // Sweep odd shapes: rows around the 4/8/16 tile edges, dims around 64-bit
 // word boundaries, batches around the 2/4-query tile and 32-query block
 // edges.

@@ -87,7 +87,6 @@ TEST(KernelBackends, SelectBackendSwitchesAndRejectsUnknown) {
   EXPECT_STREQ(active_backend().name, before);  // unchanged on failure
   ASSERT_TRUE(select_backend("portable"));
   EXPECT_STREQ(active_backend().name, "portable-tiled");
-  EXPECT_STREQ(batch_kernel_name(), "portable-tiled");  // legacy alias
   for (const KernelBackend* backend : supported_backends()) {
     ASSERT_TRUE(select_backend(backend->name)) << backend->name;
     EXPECT_EQ(&active_backend(), backend);
