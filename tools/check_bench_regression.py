@@ -6,7 +6,7 @@ Usage:
         [--threshold 0.20] [--serve-factor 3.0] [--swap-factor 5.0]
         [--update | --write-baseline]
 
-Three record shapes are understood, keyed on the "bench" field:
+Four record shapes are understood, keyed on the "bench" field:
 
 * micro-kernel records (no "bench" field, default): per-kernel throughput
   gating, described below;
@@ -25,11 +25,11 @@ Three record shapes are understood, keyed on the "bench" field:
   the workload is fully seeded, so every rate below is deterministic per
   build: the threshold shortlist must keep hit_rate >= 0.99 at every size,
   stage-2 rescoring at the largest size must touch <= 2% of rows (the
-  pruning claim), and the fitted-model accuracy delta must stay <= 0.5%. Speedups are within-run
-  ratios (cascade vs. exhaustive on the same host), so they transfer across
-  machines: against bench/baselines/BENCH_cascade.json (when present) the
-  largest size's threshold_speedup may not drop more than --threshold below
-  baseline;
+  pruning claim), and the fitted-model accuracy delta must stay <= 0.5%.
+  Speedups are within-run ratios (cascade vs. exhaustive on the same host),
+  so they transfer across machines: against
+  bench/baselines/BENCH_cascade.json (when present) the largest size's
+  threshold_speedup may not drop more than --threshold below baseline;
 * online records ("bench": "online", produced by bench_online): the cost of
   training and hot-swapping while serving. Machine-independent: served p99
   with a thread swapping versions continuously must stay within
@@ -40,6 +40,12 @@ Three record shapes are understood, keyed on the "bench" field:
   anchor_queries_per_sec ratio between the two machines, and the COW
   clone/publish costs may not grow past --swap-factor x baseline
   (normalized the same way).
+
+Every record kind that reads a baseline FAILS when the record's "threads"
+differs from the baseline's, or when either side lacks the field: every
+gated number moves with the thread count, so only runs at the baseline's
+count compare like with like. The committed baselines are 1-thread records;
+run the benches with MEMHD_NUM_THREADS=1 (CI does) or re-baseline.
 
 --write-baseline (alias of --update; see below) rewrites the matching
 baseline file from CURRENT_JSON and reports PASS — the first-run path for a
@@ -100,6 +106,18 @@ def sections(record):
             if isinstance(v, dict) and BATCH_KEY in v}
 
 
+def thread_mismatch(current, baseline, baseline_path):
+    """Failure message when the two records were not measured at the same
+    thread count (or either one does not say), else None."""
+    now = current.get("threads", "unrecorded")
+    base = baseline.get("threads", "unrecorded")
+    if "threads" in current and "threads" in baseline and now == base:
+        return None
+    return (f"threads: current run at {now}, baseline {baseline_path} at "
+            f"{base} — compare at equal thread counts (MEMHD_NUM_THREADS) "
+            f"or re-baseline")
+
+
 SERVE_PHASES = ("load_0.5x", "load_1x", "load_2x")
 
 
@@ -137,6 +155,9 @@ def check_serve(current, args):
     elif not baseline_path.exists():
         print(f"NOTICE: no serve baseline ({baseline_path} missing); "
               f"latency gate skipped. Create one with --update.")
+    elif (mismatch := thread_mismatch(current, load(baseline_path),
+                                      baseline_path)):
+        failures.append(mismatch)
     else:
         baseline = load(baseline_path)
         base_capacity = baseline.get("capacity_qps", 0.0)
@@ -224,6 +245,9 @@ def check_cascade(current, args):
     elif not baseline_path.exists():
         print(f"NOTICE: no cascade baseline ({baseline_path} missing); "
               f"speedup gate skipped. Create one with --update.")
+    elif (mismatch := thread_mismatch(current, load(baseline_path),
+                                      baseline_path)):
+        failures.append(mismatch)
     elif largest not in load(baseline_path):
         print(f"NOTICE: no baseline entry for '{largest}'; speedup gate "
               f"skipped. Re-baseline with --update.")
@@ -278,6 +302,9 @@ def check_online(current, args):
     elif not baseline_path.exists():
         print(f"NOTICE: no online baseline ({baseline_path} missing); "
               f"training-throughput gate skipped. Create one with --update.")
+    elif (mismatch := thread_mismatch(current, load(baseline_path),
+                                      baseline_path)):
+        failures.append(mismatch)
     else:
         baseline = load(baseline_path)
         base_anchor = baseline.get("anchor_queries_per_sec", 0.0)
@@ -394,6 +421,9 @@ def main():
               f"than gating against another backend's numbers. "
               f"Committed baselines: {known or 'none'}. "
               f"Create one with --update.")
+    elif (mismatch := thread_mismatch(current, load(baseline_path),
+                                      baseline_path)):
+        failures.append(mismatch)
     else:
         baseline = load(baseline_path)
         common = [n for n in sections(baseline) if n in sections(current)]
