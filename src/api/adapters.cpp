@@ -29,12 +29,6 @@ struct MemhdPredictContext final : Classifier::PredictContext {
   std::optional<common::BatchScorer> scorer;  // engaged iff cascade == null
   std::vector<std::uint32_t> best;
 };
-
-// The baseline frame's derivation byte is always 0, the counter stream. A 1
-// marks the sequential stream of pre-MHDAPI03 models, which no longer
-// loads.
-constexpr std::uint8_t kDerivationCounter = 0;
-constexpr std::uint8_t kDerivationSequential = 1;
 }  // namespace
 
 // ------------------------------------------------------------------ MEMHD --
@@ -172,8 +166,7 @@ void BaselineClassifier::save_payload(std::ostream& out) const {
   common::write_pod<std::uint64_t>(out, model_->num_features());
   common::write_pod<std::uint64_t>(out, model_->num_classes());
   common::write_pod<float>(out, cfg.learning_rate);
-  common::write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(cfg.basis));
-  common::write_pod<std::uint8_t>(out, kDerivationCounter);
+  core::write_basis_bytes(out, cfg.basis);
   model_->save_state(out);
 }
 
@@ -188,14 +181,7 @@ std::unique_ptr<BaselineClassifier> BaselineClassifier::load_payload(
   const auto num_features = common::read_pod<std::uint64_t>(in);
   const auto num_classes = common::read_pod<std::uint64_t>(in);
   cfg.learning_rate = common::read_pod<float>(in);
-  const auto basis = common::read_pod<std::uint8_t>(in);
-  const auto derivation = common::read_pod<std::uint8_t>(in);
-  if (derivation == kDerivationSequential)
-    throw std::runtime_error(
-        "api::load: unsupported basis derivation (sequential stream)");
-  if (basis > 1 || derivation != kDerivationCounter)
-    throw std::runtime_error("api::load: corrupt baseline model frame");
-  cfg.basis = static_cast<hdc::BasisKind>(basis);
+  cfg.basis = core::read_basis_bytes(in, "api::load");
 
   // Corrupted frames must surface as the documented std::runtime_error, not
   // as contract aborts (or absurd allocations) further down. The 2^24 cap

@@ -27,8 +27,13 @@
 // its own header and then delegates the MEMHD payload here.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+
+namespace memhd::hdc {
+enum class BasisKind : std::uint8_t;  // src/hdc/basis_provider.hpp
+}  // namespace memhd::hdc
 
 namespace memhd::core {
 
@@ -43,5 +48,14 @@ void save_model(const MemhdModel& model, std::ostream& out);
 /// malformed input.
 MemhdModel load_model(const std::string& path);
 MemhdModel load_model(std::istream& in);
+
+/// The two basis bytes of the MEMHD003 header and the MHDAPI03 baseline
+/// frame: the basis kind, then the derivation byte, always 0 (the counter
+/// stream).
+void write_basis_bytes(std::ostream& out, hdc::BasisKind kind);
+/// Reads the two basis bytes back. A derivation byte of 1 (the sequential
+/// stream of pre-basis-seam models) and any value no writer emits throw
+/// std::runtime_error, its message prefixed with `reader`.
+hdc::BasisKind read_basis_bytes(std::istream& in, const char* reader);
 
 }  // namespace memhd::core

@@ -63,8 +63,8 @@
 //         row repack across many batches (rebuild it when the AM changes).
 //   search::CascadeSearcher — coarse-to-fine recall for many-centroid AMs:
 //       bit-sampled prescreen plane + exact shortlist rescore
-//       (BatchScorer::scores_rows), with a certified exact mode and an
-//       approximate threshold mode (ModelOptions::cascade* knobs).
+//       (BatchScorer::scores_rows), approximate unless the shortlist covers
+//       the plane (ModelOptions::cascade* knobs).
 //   core::MultiCentroidAM::scores_batch / predict_batch
 //   hdc::AssociativeMemory::scores_batch / predict_batch
 //   hdc::ProjectionEncoder::encode_batch        (sample-blocked matmul)

@@ -53,11 +53,12 @@ common::BitMatrix duplicate_row_plane(std::size_t bits) {
   return plane;
 }
 
-TEST(CascadeThreshold, CoveringShortlistMatchesExhaustiveAcrossShapes) {
-  // A shortlist as wide as the plane keeps every row, so the rescore is
-  // the exhaustive first-wins argmax at every sample fraction, over a
-  // 1-row plane, ragged tail words, fraction 1.0 (the degenerate forward)
-  // and duplicated rows whose ties must resolve to the lower index.
+TEST(CascadeThreshold, ShortlistCoveringPlaneIsExact) {
+  // With shortlist >= rows the top-L selection keeps every row, so the
+  // rescore IS the exhaustive argmax — including tie order — at every
+  // sample fraction, over a 1-row plane, ragged tail words, fraction 1.0
+  // (the degenerate forward) and duplicated rows whose ties must resolve
+  // to the lower index.
   struct Case {
     common::BitMatrix plane;
     std::vector<common::BitVector> queries;
@@ -72,13 +73,18 @@ TEST(CascadeThreshold, CoveringShortlistMatchesExhaustiveAcrossShapes) {
     cases.push_back({common::BitMatrix::random(sh.rows, sh.bits, rng),
                      random_queries(32, sh.bits, sh.rows * 977 + sh.bits)});
   }
+  common::Rng rng(7);
+  Case zero_query{common::BitMatrix::random(48, 300, rng),
+                  random_queries(96, 300, 8)};
+  zero_query.queries.push_back(common::BitVector(300));
+  cases.push_back(std::move(zero_query));
   Case dup{duplicate_row_plane(192), random_queries(64, 192, 1234)};
   dup.queries.push_back(common::BitVector(192));  // ties at score 0
   for (const std::uint32_t w : exhaustive(dup.plane, dup.queries))
     EXPECT_EQ(w % 2, 0u);  // the lower twin
   cases.push_back(std::move(dup));
 
-  const double fractions[] = {0.05, 0.25, 0.34, 0.5, 0.67, 0.75, 1.0};
+  const double fractions[] = {0.05, 0.2, 0.25, 0.34, 0.5, 0.67, 0.75, 1.0};
   for (const auto& [plane, queries] : cases) {
     const auto want = exhaustive(plane, queries);
     for (const double f : fractions) {
@@ -94,23 +100,6 @@ TEST(CascadeThreshold, CoveringShortlistMatchesExhaustiveAcrossShapes) {
       EXPECT_EQ(stats.queries, queries.size());
     }
   }
-}
-
-TEST(CascadeThreshold, ShortlistCoveringPlaneIsExact) {
-  // With shortlist >= rows the top-L selection keeps every row, so the
-  // rescore IS the exhaustive argmax — including tie order.
-  common::Rng rng(7);
-  const auto plane = common::BitMatrix::random(48, 300, rng);
-  auto queries = random_queries(96, 300, 8);
-  queries.push_back(common::BitVector(300));
-  const auto want = exhaustive(plane, queries);
-  CascadeConfig cfg;
-  cfg.sample_fraction = 0.2;
-  cfg.shortlist = 48;
-  const CascadeSearcher cascade(plane, cfg);
-  std::vector<std::uint32_t> got;
-  cascade.dot_argmax(queries, got);
-  EXPECT_EQ(got, want);
 }
 
 TEST(CascadeThreshold, StructuredWorkloadHitsShortlist) {

@@ -2,7 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+
+#include <gtest/gtest.h>
 
 #include "src/data/dataset.hpp"
 #include "src/data/synthetic.hpp"
@@ -46,5 +53,34 @@ hdc::EncodedDataset clustered_encoded(std::size_t per_class, std::size_t dim,
 /// Lower-case hex of the first `n` bytes of `bytes` (all of them if
 /// shorter): the form the on-disk layout pins compare against.
 std::string hex_prefix(const std::string& bytes, std::size_t n);
+
+/// Checks that a loader with stream and path overloads rejects `bytes`
+/// through both with a std::runtime_error whose message contains `needle`.
+/// `load` is called once with a std::istream& and once with a path.
+template <typename Load>
+void expect_load_error(const std::string& bytes, const std::string& needle,
+                       Load load) {
+  const auto check = [&](auto&& source, const char* overload) {
+    try {
+      load(source);
+      ADD_FAILURE() << overload << " overload loaded the bytes; want "
+                    << needle;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << overload << ": " << e.what();
+    }
+  };
+  std::istringstream in(bytes, std::ios::binary);
+  check(static_cast<std::istream&>(in), "stream");
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "memhd_load_error.bin")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  check(path, "path");
+  std::remove(path.c_str());
+}
 
 }  // namespace memhd::testing
