@@ -72,8 +72,11 @@ void expect_load_error(const std::string& bytes, const std::string& needle,
   };
   std::istringstream in(bytes, std::ios::binary);
   check(static_cast<std::istream&>(in), "stream");
+  // One file per test: ctest runs the suites' binaries in parallel.
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string path =
-      (std::filesystem::temp_directory_path() / "memhd_load_error.bin")
+      (std::filesystem::temp_directory_path() /
+       (std::string(test->test_suite_name()) + "." + test->name() + ".bin"))
           .string();
   {
     std::ofstream out(path, std::ios::binary);
