@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   for (const auto& geo : kGeometries) {
     // "Total (KB)" is the paper's Table I figure: model bits, what an IMC
     // deployment stores. "Resident (KB)" is what this software runtime
-    // actually keeps in RAM (packed rows + float mirrors/shadows) — the
+    // actually keeps in RAM (packed rows + the AM's float shadow) — the
     // column the rematerialized rows collapse.
     common::TablePrinter table({"Model", "Keywords", "EM formula",
                                 "AM formula", "D", "EM (KB)", "AM (KB)",

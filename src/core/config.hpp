@@ -54,8 +54,8 @@ struct MemhdConfig {
   float learning_rate = 0.05f;    // paper: 0.01 - 0.1 depending on dataset
   std::size_t kmeans_max_iterations = 25;
   std::uint64_t seed = 1;
-  /// Where the encoder's sign plane lives: resident (packed bits + float
-  /// mirror) or rematerialized on the fly from the seed with O(1) memory.
+  /// Where the encoder's sign plane lives: resident (packed bits) or
+  /// rematerialized on the fly from the seed with O(1) memory.
   /// Never changes model outputs — see src/hdc/basis_provider.hpp.
   hdc::BasisKind basis = hdc::BasisKind::kMaterialized;
   /// Coarse-to-fine associative search (src/search/): when enabled, batch

@@ -14,12 +14,12 @@
 // C memory columns, N vector-quantization factor (paper: 64).
 //
 // Table I counts MODEL bits — what a deployed IMC chip stores. The software
-// runtime of this library holds more: the projection encoders keep a float
-// mirror of the sign plane next to the packed bits (4 bytes/bit on top of
-// 1/8), and the AM keeps a float shadow for training. memory_requirement()
-// therefore also reports software-RESIDENT bytes, and the two diverge
-// sharply once the basis is rematerialized (encoder residency collapses to
-// O(1) while the model bits stay f * D).
+// runtime of this library holds more: the projection encoders pad each
+// packed sign row to whole 64-bit words, and the AM keeps a float shadow
+// for training. memory_requirement() therefore also reports
+// software-RESIDENT bytes, and the two diverge sharply once the basis is
+// rematerialized (encoder residency collapses to O(1) while the model bits
+// stay f * D).
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,7 @@
 #include "src/hdc/basis_provider.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <string>
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 #include "src/common/assert.hpp"
 #include "src/common/bitops.hpp"
@@ -37,7 +31,6 @@ std::uint64_t basis_word(std::uint64_t seed, std::uint64_t counter) {
 void basis_words(std::uint64_t seed, std::uint64_t counter, std::size_t count,
                  std::uint64_t* out) {
   std::size_t i = 0;
-#if defined(__GNUC__) || defined(__clang__)
   // 8 independent counter streams per lane-group. Every operation is exact
   // 64-bit integer arithmetic, so each lane computes precisely
   // basis_word(seed, counter + i): splitmix64 post-increments the state
@@ -55,7 +48,6 @@ void basis_words(std::uint64_t seed, std::uint64_t counter, std::size_t count,
       state += 8 * kGolden;
     }
   }
-#endif
   for (; i < count; ++i) out[i] = basis_word(seed, counter + i);
 }
 
@@ -66,40 +58,6 @@ void validate_shape(std::size_t dim, std::size_t num_features) {
     throw ConfigError("basis provider: dim must be > 0");
   if (num_features == 0)
     throw ConfigError("basis provider: num_features must be > 0");
-}
-
-/// Expands `count` consecutive packed sign rows into float +/-1. The rows'
-/// counters are contiguous (row-major layout), so the whole group replays
-/// as ONE bulk stream — the SIMD lane-groups of basis_words stay full
-/// across row boundaries instead of draining at every words_per_row tail.
-void expand_counter_rows(std::uint64_t seed, std::size_t d, std::size_t count,
-                         std::size_t num_features, std::size_t words_per_row,
-                         float* out) {
-  constexpr std::size_t kChunk = 64;
-  std::uint64_t buf[kChunk];
-  const std::uint64_t base = static_cast<std::uint64_t>(d) * words_per_row;
-  const std::size_t total = count * words_per_row;
-  std::size_t produced = 0, avail = 0, pos = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    float* row = out + i * num_features;
-    std::size_t f = 0;
-    for (std::size_t w = 0; w < words_per_row; ++w) {
-      if (pos == avail) {
-        avail = std::min(kChunk, total - produced);
-        basis_words(seed, base + produced, avail, buf);
-        produced += avail;
-        pos = 0;
-      }
-      const std::uint64_t word = buf[pos++];
-      if (f + 64 <= num_features) {
-        expand_sign_word(word, row + f);
-        f += 64;
-      } else {
-        for (; f < num_features; ++f)
-          row[f] = (word >> (f & 63)) & 1ULL ? 1.0f : -1.0f;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -128,20 +86,6 @@ MaterializedBasis::MaterializedBasis(std::size_t dim, std::size_t num_features,
                 words_per_row_, row);
     row[words_per_row_ - 1] &= mask;
   }
-  weights_ = common::Matrix(dim, num_features);
-  for (std::size_t d = 0; d < dim; ++d) {
-    auto row = weights_.row(d);
-    for (std::size_t f = 0; f < num_features; ++f)
-      row[f] = signs_.get(d, f) ? 1.0f : -1.0f;
-  }
-}
-
-void MaterializedBasis::float_rows(std::size_t d, std::size_t count,
-                                   float* /*scratch*/,
-                                   const float** rows) const {
-  MEMHD_EXPECTS(d + count <= dim_);
-  for (std::size_t i = 0; i < count; ++i)
-    rows[i] = weights_.row(d + i).data();
 }
 
 void MaterializedBasis::sign_rows(std::size_t d, std::size_t count,
@@ -174,9 +118,7 @@ common::BitMatrix MaterializedBasis::em_tile(std::size_t f0, std::size_t f1,
 }
 
 std::size_t MaterializedBasis::resident_bytes() const {
-  return sizeof(*this) +
-         dim_ * words_per_row_ * sizeof(std::uint64_t) +  // packed signs
-         dim_ * num_features_ * sizeof(float);            // float mirror
+  return sizeof(*this) + dim_ * words_per_row_ * sizeof(std::uint64_t);
 }
 
 // ---------------------------------------------------------- rematerialized --
@@ -185,16 +127,6 @@ RematerializedBasis::RematerializedBasis(std::size_t dim,
                                          std::size_t num_features,
                                          std::uint64_t seed)
     : BasisProvider(dim, num_features, seed) {}
-
-void RematerializedBasis::float_rows(std::size_t d, std::size_t count,
-                                     float* scratch,
-                                     const float** rows) const {
-  MEMHD_EXPECTS(d + count <= dim_);
-  MEMHD_EXPECTS(count == 0 || scratch != nullptr);
-  expand_counter_rows(seed_, d, count, num_features_, words_per_row_,
-                      scratch);
-  for (std::size_t i = 0; i < count; ++i) rows[i] = scratch + i * num_features_;
-}
 
 void RematerializedBasis::sign_rows(std::size_t d, std::size_t count,
                                     std::uint64_t* out) const {

@@ -3,10 +3,10 @@
 //
 // ProjectionEncoder consumes its D x f sign plane exclusively through this
 // interface, so the plane can either be held in memory (MaterializedBasis:
-// today's packed signs + float mirror, the software-speed choice) or
-// regenerated on demand from a counter-mode RNG stream (RematerializedBasis:
-// O(1) resident memory regardless of D, the ultra-high-D / many-model
-// choice; Schmuck et al., "Rematerialization of Hypervectors").
+// the packed signs, f * D bits, the software-speed choice) or regenerated
+// on demand from a counter-mode RNG stream (RematerializedBasis: O(1)
+// resident memory regardless of D, the ultra-high-D / many-model choice;
+// Schmuck et al., "Rematerialization of Hypervectors").
 //
 // Both implementations derive the SAME bits for the same seed: word w of row
 // d is basis_word(seed, d * words_per_row + w), one SplitMix64 counter-mode
@@ -28,24 +28,17 @@
 // nothing heavier than the seed.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
 #include "src/common/bit_matrix.hpp"
-#include "src/common/matrix.hpp"
 
 namespace memhd::hdc {
 
 /// Where the encoder's sign plane lives.
 enum class BasisKind : std::uint8_t {
-  kMaterialized = 0,    // packed signs + float mirror held in memory
+  kMaterialized = 0,    // packed signs held in memory
   kRematerialized = 1,  // regenerated per tile from the seed, never stored
 };
 
@@ -86,15 +79,6 @@ class BasisProvider {
   std::size_t words_per_row() const { return words_per_row_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// Pointers to `count` consecutive float +/-1 rows [d, d + count).
-  /// Materialized providers return views into the resident mirror and
-  /// ignore `scratch`; rematerializing providers fill `scratch` (at least
-  /// count * num_features() floats) and point into it. The floats are
-  /// exactly +1.0f / -1.0f, so the encoder's FP accumulation is identical
-  /// either way.
-  virtual void float_rows(std::size_t d, std::size_t count, float* scratch,
-                          const float** rows) const = 0;
-
   /// Selected packed sign words of row d: out[i] = word word_index[i] of the
   /// row (tail word masked). The sparse encode path uses this to touch only
   /// the words covering non-zero features.
@@ -102,12 +86,12 @@ class BasisProvider {
                           std::size_t count, std::uint64_t* out) const = 0;
 
   /// All packed sign words of rows [d, d + count), row-major (words_per_row()
-  /// words per row, tail words masked) — the blocked encode kernels' source.
+  /// words per row, tail words masked) — the dense encode kernel's source.
   /// Handing out bits instead of floats lets the encoder expand signs word by
   /// word INSIDE its FMA loop, where the expansion micro-ops hide in the
-  /// load-port slack: a materialized plane streams 32x less memory than its
-  /// float mirror, and a rematerialized plane's replay overlaps the math
-  /// instead of running as a serial phase before it.
+  /// load-port slack: a materialized plane streams one bit per weight
+  /// instead of a 4-byte float, and a rematerialized plane's replay overlaps
+  /// the math instead of running as a serial phase before it.
   virtual void sign_rows(std::size_t d, std::size_t count,
                          std::uint64_t* out) const = 0;
 
@@ -123,9 +107,9 @@ class BasisProvider {
   /// stores it.
   std::size_t model_bits() const { return dim_ * num_features_; }
 
-  /// Bytes this provider actually holds resident in software: packed signs
-  /// + float mirror when materialized, O(1) (the seed and shape) when
-  /// rematerialized.
+  /// Bytes this provider actually holds resident in software: the object
+  /// plus the packed signs (dim() x words_per_row() words) when
+  /// materialized, O(1) (the seed and shape) when rematerialized.
   virtual std::size_t resident_bytes() const = 0;
 
  protected:
@@ -137,16 +121,13 @@ class BasisProvider {
   std::uint64_t seed_;
 };
 
-/// The resident plane: the packed counter-stream signs plus their float
-/// mirror.
+/// The resident plane: the packed counter-stream signs.
 class MaterializedBasis final : public BasisProvider {
  public:
   MaterializedBasis(std::size_t dim, std::size_t num_features,
                     std::uint64_t seed);
 
   BasisKind kind() const override { return BasisKind::kMaterialized; }
-  void float_rows(std::size_t d, std::size_t count, float* scratch,
-                  const float** rows) const override;
   void sign_words(std::size_t d, const std::uint32_t* word_index,
                   std::size_t count, std::uint64_t* out) const override;
   void sign_rows(std::size_t d, std::size_t count,
@@ -160,7 +141,6 @@ class MaterializedBasis final : public BasisProvider {
 
  private:
   common::BitMatrix signs_;  // dim x num_features packed bipolar signs
-  common::Matrix weights_;   // dim x num_features float mirror (+1/-1)
 };
 
 /// The O(1) plane: nothing resident but the seed and shape; every accessor
@@ -171,8 +151,6 @@ class RematerializedBasis final : public BasisProvider {
                       std::uint64_t seed);
 
   BasisKind kind() const override { return BasisKind::kRematerialized; }
-  void float_rows(std::size_t d, std::size_t count, float* scratch,
-                  const float** rows) const override;
   void sign_words(std::size_t d, const std::uint32_t* word_index,
                   std::size_t count, std::uint64_t* out) const override;
   void sign_rows(std::size_t d, std::size_t count,
@@ -181,43 +159,6 @@ class RematerializedBasis final : public BasisProvider {
                             std::size_t d1) const override;
   std::size_t resident_bytes() const override { return sizeof(*this); }
 };
-
-namespace detail {
-/// 64 packed sign bits -> 64 floats via a byte-indexed table of 8-float
-/// groups (8 KB, L1-resident): one 32-byte copy per byte of the word
-/// replaces 64 test-and-branch stores. Fallback for targets without
-/// AVX-512 mask blends.
-[[maybe_unused]] inline constexpr auto kBitFloats = [] {
-  std::array<std::array<float, 8>, 256> table{};
-  for (std::size_t b = 0; b < 256; ++b)
-    for (std::size_t i = 0; i < 8; ++i)
-      table[b][i] = (b >> i) & 1 ? 1.0f : -1.0f;
-  return table;
-}();
-}  // namespace detail
-
-/// 64 packed sign bits -> 64 floats (+1.0f for a set bit, -1.0f clear), bit
-/// i to out[i]. Inline so the encoder's blocked kernels can expand word
-/// tiles inside their FMA loops, where the expansion micro-ops overlap the
-/// math; identical float output on every path (the AVX-512 mask blend and
-/// the byte-LUT copy agree bit for bit).
-inline void expand_sign_word(std::uint64_t word, float* out) {
-#if defined(__AVX512F__)
-  // Mask-blend: each 16-bit slice of the word selects +1/-1 lanes directly
-  // (bit i of the mask -> lane i), no table traffic at all.
-  const __m512 plus = _mm512_set1_ps(1.0f);
-  const __m512 minus = _mm512_set1_ps(-1.0f);
-  for (std::size_t b = 0; b < 4; ++b)
-    _mm512_storeu_ps(
-        out + b * 16,
-        _mm512_mask_blend_ps(static_cast<__mmask16>(word >> (b * 16)), minus,
-                             plus));
-#else
-  for (std::size_t b = 0; b < 8; ++b)
-    std::memcpy(out + b * 8, detail::kBitFloats[(word >> (b * 8)) & 0xFF].data(),
-                8 * sizeof(float));
-#endif
-}
 
 /// Factory. Throws ConfigError for dim == 0, num_features == 0, or an
 /// unknown kind.

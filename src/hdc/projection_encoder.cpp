@@ -1,11 +1,55 @@
 #include "src/hdc/projection_encoder.hpp"
 
+#include <array>
+#include <cstring>
 #include <numeric>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "src/common/assert.hpp"
 #include "src/common/parallel.hpp"
 
 namespace memhd::hdc {
+
+namespace {
+
+/// 64 packed sign bits -> 64 floats via a byte-indexed table of 8-float
+/// groups (8 KB, L1-resident): one 32-byte copy per byte of the word
+/// replaces 64 test-and-branch stores. Fallback for targets without
+/// AVX-512 mask blends.
+[[maybe_unused]] constexpr auto kBitFloats = [] {
+  std::array<std::array<float, 8>, 256> table{};
+  for (std::size_t b = 0; b < 256; ++b)
+    for (std::size_t i = 0; i < 8; ++i)
+      table[b][i] = (b >> i) & 1 ? 1.0f : -1.0f;
+  return table;
+}();
+
+/// 64 packed sign bits -> 64 floats (+1.0f for a set bit, -1.0f clear), bit
+/// i to out[i]. Called inside the projection kernel's FMA loop, where the
+/// expansion micro-ops overlap the math; identical float output on every
+/// path (the AVX-512 mask blend and the byte-LUT copy agree bit for bit).
+inline void expand_sign_word(std::uint64_t word, float* out) {
+#if defined(__AVX512F__)
+  // Mask-blend: each 16-bit slice of the word selects +1/-1 lanes directly
+  // (bit i of the mask -> lane i), no table traffic at all.
+  const __m512 plus = _mm512_set1_ps(1.0f);
+  const __m512 minus = _mm512_set1_ps(-1.0f);
+  for (std::size_t b = 0; b < 4; ++b)
+    _mm512_storeu_ps(
+        out + b * 16,
+        _mm512_mask_blend_ps(static_cast<__mmask16>(word >> (b * 16)), minus,
+                             plus));
+#else
+  for (std::size_t b = 0; b < 8; ++b)
+    std::memcpy(out + b * 8, kBitFloats[(word >> (b * 8)) & 0xFF].data(),
+                8 * sizeof(float));
+#endif
+}
+
+}  // namespace
 
 ProjectionEncoder::ProjectionEncoder(const ProjectionEncoderConfig& config)
     : config_(config),
@@ -17,28 +61,6 @@ const common::BitMatrix& ProjectionEncoder::sign_matrix() const {
       dynamic_cast<const MaterializedBasis*>(basis_.get());
   MEMHD_EXPECTS(materialized != nullptr);  // materialized mode only
   return materialized->sign_matrix();
-}
-
-void ProjectionEncoder::project_dense(std::span<const float> features,
-                                      std::span<float> out) const {
-  const std::size_t dim = config_.dim;
-  const std::size_t nf = config_.num_features;
-  // Rematerializing providers fill this scratch; materialized ones hand out
-  // mirror pointers and never touch it.
-  std::vector<float> scratch;
-  if (basis_->kind() == BasisKind::kRematerialized)
-    scratch.resize(kRowGroup * nf);
-  const float* rows[kRowGroup];
-  std::size_t d = 0;
-  for (; d + kRowGroup <= dim; d += kRowGroup) {
-    basis_->float_rows(d, kRowGroup, scratch.data(), rows);
-    for (std::size_t i = 0; i < kRowGroup; ++i)
-      out[d + i] = common::dot(std::span<const float>(rows[i], nf), features);
-  }
-  for (; d < dim; ++d) {
-    basis_->float_rows(d, 1, scratch.data(), rows);
-    out[d] = common::dot(std::span<const float>(rows[0], nf), features);
-  }
 }
 
 void ProjectionEncoder::project_sparse(std::span<const float> features,
@@ -76,10 +98,12 @@ std::vector<float> ProjectionEncoder::project(
   std::vector<float> h(config_.dim, 0.0f);
   std::size_t nnz = 0;
   for (const float v : features) nnz += (v != 0.0f);
-  if (nnz * kSparseInverseDensity <= config_.num_features)
+  if (nnz * kSparseInverseDensity <= config_.num_features) {
     project_sparse(features, h);
-  else
-    project_dense(features, h);
+  } else {
+    const float* row = features.data();
+    project_block(&row, 1, h.data());
+  }
   return h;
 }
 
@@ -104,27 +128,23 @@ common::BitVector ProjectionEncoder::encode(
   return common::BitVector::from_threshold(h.data(), h.size(), threshold);
 }
 
-void ProjectionEncoder::encode_block(const common::Matrix& features,
-                                     std::size_t begin, std::size_t count,
-                                     common::BitVector* out) const {
+void ProjectionEncoder::project_block(const float* const* rows,
+                                      std::size_t count, float* block) const {
   MEMHD_EXPECTS(count <= kSampleBlock);
   const std::size_t nf = config_.num_features;
+  const std::size_t dim = config_.dim;
 
   // Feature-major transpose of the block, padded to kSampleBlock columns:
-  // xt[f * kSampleBlock + s] = features(begin + s, f). One weight element
-  // then multiplies a contiguous run of samples, so the inner sample loop
-  // below vectorizes while each sample's own accumulation stays in feature
-  // order — the projection is bit-identical to project()'s sequential dot,
-  // with kSampleBlock independent chains instead of one.
+  // xt[f * kSampleBlock + s] = rows[s][f]. One weight element then
+  // multiplies a contiguous run of samples, so the inner sample loop below
+  // vectorizes while each sample's own accumulation stays in feature order
+  // — the float sequence of a sequential scalar dot, with kSampleBlock
+  // independent chains instead of one. A lone row (project()) takes the
+  // same path as a full block, so the result never depends on the count.
   std::vector<float> xt(nf * kSampleBlock, 0.0f);
-  for (std::size_t s = 0; s < count; ++s) {
-    const auto row = features.row(begin + s);
-    for (std::size_t f = 0; f < nf; ++f) xt[f * kSampleBlock + s] = row[f];
-  }
+  for (std::size_t s = 0; s < count; ++s)
+    for (std::size_t f = 0; f < nf; ++f) xt[f * kSampleBlock + s] = rows[s][f];
 
-  std::vector<float> block(count * config_.dim);
-  const std::size_t dim = config_.dim;
-#if defined(__GNUC__) || defined(__clang__)
   // One vector register of per-sample accumulators; four output dimensions
   // in flight so the per-lane FMA chains overlap instead of serializing on
   // FMA latency. Lane s accumulates sample s's projection in feature order,
@@ -134,8 +154,8 @@ void ProjectionEncoder::encode_block(const common::Matrix& features,
   // float +/-1 one 64-feature word tile at a time, inside the FMA loop: the
   // expansion micro-ops (mask blends / table copies + L1 stores) fill port
   // slack the FMA chains leave open instead of running as a serial phase,
-  // a materialized plane streams 32x less memory than its float mirror,
-  // and a rematerialized plane replays the same words at the same cost.
+  // a materialized plane streams one bit per weight, and a rematerialized
+  // plane replays the same words at the same cost.
   // Either way the float values and accumulation order are identical, so
   // the two modes encode bit-identically.
   const std::size_t wpr = basis_->words_per_row();
@@ -171,7 +191,7 @@ void ProjectionEncoder::encode_block(const common::Matrix& features,
       }
     }
     for (std::size_t s = 0; s < count; ++s) {
-      float* o = block.data() + s * dim + d;
+      float* o = block + s * dim + d;
       o[0] = a0[s];
       o[1] = a1[s];
       o[2] = a2[s];
@@ -190,31 +210,6 @@ void ProjectionEncoder::encode_block(const common::Matrix& features,
     }
     for (std::size_t s = 0; s < count; ++s) block[s * dim + d] = a[s];
   }
-#else
-  // Portable fallback: whole float rows from the provider (a materialized
-  // mirror pointer or a rematerialized scratch fill), scalar accumulation.
-  std::vector<float> wscratch;
-  if (basis_->kind() == BasisKind::kRematerialized) wscratch.resize(nf);
-  const float* rows[1];
-  for (std::size_t d = 0; d < dim; ++d) {
-    basis_->float_rows(d, 1, wscratch.data(), rows);
-    const float* w = rows[0];
-    float acc[kSampleBlock] = {};
-    for (std::size_t f = 0; f < nf; ++f) {
-      const float wf = w[f];
-      const float* x = xt.data() + f * kSampleBlock;
-      for (std::size_t s = 0; s < kSampleBlock; ++s) acc[s] += wf * x[s];
-    }
-    for (std::size_t s = 0; s < count; ++s) block[s * dim + d] = acc[s];
-  }
-#endif
-
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::span<const float> hs(block.data() + s * config_.dim,
-                                    config_.dim);
-    out[s] = common::BitVector::from_threshold(hs.data(), hs.size(),
-                                               binarize_threshold(hs));
-  }
 }
 
 std::vector<common::BitVector> ProjectionEncoder::encode_batch(
@@ -223,13 +218,23 @@ std::vector<common::BitVector> ProjectionEncoder::encode_batch(
   MEMHD_EXPECTS(features.cols() == config_.num_features);
   MEMHD_EXPECTS(begin + count <= features.rows());
   std::vector<common::BitVector> out(count);
+  const std::size_t dim = config_.dim;
   const std::size_t nblocks = (count + kSampleBlock - 1) / kSampleBlock;
   common::parallel_for(
       0, nblocks,
       [&](std::size_t b) {
         const std::size_t lo = b * kSampleBlock;
         const std::size_t n = std::min(kSampleBlock, count - lo);
-        encode_block(features, begin + lo, n, out.data() + lo);
+        const float* rows[kSampleBlock];
+        for (std::size_t s = 0; s < n; ++s)
+          rows[s] = features.row(begin + lo + s).data();
+        std::vector<float> block(n * dim);
+        project_block(rows, n, block.data());
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::span<const float> hs(block.data() + s * dim, dim);
+          out[lo + s] = common::BitVector::from_threshold(
+              hs.data(), hs.size(), binarize_threshold(hs));
+        }
       },
       /*grain=*/8);
   return out;

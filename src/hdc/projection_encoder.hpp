@@ -7,16 +7,18 @@
 // the binarization.
 //
 // The encoder is a facade over a BasisProvider (src/hdc/basis_provider.hpp):
-// the sign plane is either held resident (kMaterialized — packed bits plus
-// a float mirror, the software-speed default) or regenerated on the fly
-// from a counter-mode RNG stream (kRematerialized — O(1) encoder memory at
-// any D). Both modes produce bit-identical encodings for the same seed; the
-// model memory the paper's Table I counts (f x D bits) is the same either
-// way, only the software-resident bytes differ. A sparse-input fast path
-// kicks in automatically on encode()/project() when most features are zero,
-// touching only the basis words that non-zero features select — identical
-// results to the dense loop (skipping x == +/-0.0 terms cannot change an
-// IEEE-754 sum whose accumulator starts at +0).
+// the sign plane is either held resident (kMaterialized — packed bits, the
+// software-speed default) or regenerated on the fly from a counter-mode RNG
+// stream (kRematerialized — O(1) encoder memory at any D). Both modes
+// produce bit-identical encodings for the same seed; the model memory the
+// paper's Table I counts (f x D bits) is the same either way, only the
+// software-resident bytes differ. Dense inputs run through one blocked
+// kernel, whether they arrive one row at a time (encode()/project()) or as
+// a batch (encode_batch). A sparse-input fast path kicks in automatically on
+// encode()/project() when most features are zero, touching only the basis
+// words that non-zero features select — identical results to the dense
+// kernel (skipping x == +/-0.0 terms cannot change an IEEE-754 sum whose
+// accumulator starts at +0).
 #pragma once
 
 #include <cstdint>
@@ -65,8 +67,8 @@ class ProjectionEncoder {
   /// hypervector of length dim.
   common::BitVector encode(std::span<const float> features) const;
 
-  /// Real-valued projection (pre-binarization), exposed for tests and for
-  /// the IMC pipeline's column-comparator model.
+  /// Real-valued projection (pre-binarization): h[d] sums +/-x[f] in
+  /// ascending f from +0.0f. encode() thresholds exactly these values.
   std::vector<float> project(std::span<const float> features) const;
 
   /// Encodes rows [begin, begin + count) of a feature matrix (cols ==
@@ -102,23 +104,19 @@ class ProjectionEncoder {
 
  private:
   float binarize_threshold(std::span<const float> projected) const;
-  /// Encodes one block of <= kSampleBlock rows into `out[0..count)`.
-  void encode_block(const common::Matrix& features, std::size_t begin,
-                    std::size_t count, common::BitVector* out) const;
-  /// Dense projection: every feature, dim-major, provider rows in groups.
-  void project_dense(std::span<const float> features,
-                     std::span<float> out) const;
+  /// Dense projection of `count` <= kSampleBlock feature rows (each
+  /// num_features floats) into `block` (count x dim, row-major): the
+  /// blocked kernel behind both project() and encode_batch.
+  void project_block(const float* const* rows, std::size_t count,
+                     float* block) const;
   /// Sparse projection: only the basis words non-zero features live in.
-  /// Bit-identical to project_dense (the +/-0.0 skipping argument above).
+  /// Bit-identical to project_block (the +/-0.0 skipping argument above).
   void project_sparse(std::span<const float> features,
                       std::span<float> out) const;
 
   /// Samples per matmul block: one SIMD register of independent per-sample
   /// accumulators; weight row + transposed block features stay L1-hot.
   static constexpr std::size_t kSampleBlock = 16;
-  /// Projection rows in flight per provider fetch (matches the four
-  /// accumulator chains of the blocked kernel).
-  static constexpr std::size_t kRowGroup = 4;
   /// encode()/project() switch to the sparse path when non-zeros make up
   /// at most 1/kSparseInverseDensity of the features.
   static constexpr std::size_t kSparseInverseDensity = 4;

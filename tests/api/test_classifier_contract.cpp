@@ -227,11 +227,16 @@ TEST(ApiRegistry, RematOptionFlowsThroughRegistryBitIdentically) {
         << name;
     // The resident split shows up in the memory breakdown; model bits
     // stay equal (Table I counts the deployed plane, not software bytes).
+    // The materialized encoder holds the packed plane, ceil(f / 64) words
+    // per row; the rematerialized one holds its seed and shape.
     const auto mm = mat->memory();
     const auto rm = rem->memory();
     EXPECT_EQ(mm.encoder_bits, rm.encoder_bits) << name;
-    EXPECT_GT(mm.encoder_resident_bytes, rm.encoder_resident_bytes * 100)
+    const std::size_t words_per_row = (split.train.num_features() + 63) / 64;
+    EXPECT_EQ(mm.encoder_resident_bytes,
+              opts.dim * words_per_row * sizeof(std::uint64_t))
         << name;
+    EXPECT_LE(rm.encoder_resident_bytes, 64u) << name;
   }
 }
 

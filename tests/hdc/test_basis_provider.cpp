@@ -1,11 +1,13 @@
 // Property tests for the basis-provider seam: a rematerialized plane is
-// bit-identical to the materialized one — for raw words, float rows, EM
+// bit-identical to the materialized one — for raw words, packed rows, EM
 // tiles, and every encoder surface built on them — while holding O(1)
 // resident memory.
 #include "src/hdc/basis_provider.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,9 +18,11 @@ namespace memhd::hdc {
 namespace {
 
 // Odd, boundary-hugging shapes: single cell, one-word rows, exactly
-// word-aligned rows, multi-word rows with tails.
+// word-aligned rows, multi-word rows with tails, and dims at, just past and
+// short of the encode kernel's four-dimension group.
 const std::pair<std::size_t, std::size_t> kOddShapes[] = {
-    {1, 1}, {3, 65}, {17, 127}, {33, 128}, {100, 257}};
+    {1, 1},  {3, 65}, {17, 127}, {33, 128}, {100, 257},
+    {64, 4}, {65, 5}, {257, 3}};
 // {num_features, dim} per shape (features first to stress tail masking).
 
 ProjectionEncoderConfig make_config(std::size_t f, std::size_t d,
@@ -44,6 +48,59 @@ common::Matrix random_matrix(std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r)
     for (auto& v : m.row(r)) v = static_cast<float>(rng.uniform());
   return m;
+}
+
+// Test-local reference for the dense projection, independent of the
+// encoder's blocked kernel: expand the basis words to +/-1 and add w * x[f]
+// in ascending f from +0.0f.
+std::vector<float> reference_project(const BasisProvider& basis,
+                                     std::span<const float> x) {
+  const std::size_t wpr = basis.words_per_row();
+  std::vector<std::uint32_t> all(wpr);
+  for (std::size_t w = 0; w < wpr; ++w) all[w] = static_cast<std::uint32_t>(w);
+  std::vector<std::uint64_t> words(wpr);
+  std::vector<float> h(basis.dim());
+  for (std::size_t d = 0; d < basis.dim(); ++d) {
+    basis.sign_words(d, all.data(), wpr, words.data());
+    float acc = 0.0f;
+    for (std::size_t f = 0; f < x.size(); ++f) {
+      const float w = (words[f >> 6] >> (f & 63)) & 1ULL ? 1.0f : -1.0f;
+      acc += w * x[f];
+    }
+    h[d] = acc;
+  }
+  return h;
+}
+
+// The reference threshold: bit d is set when h[d] exceeds 0 or the
+// ascending-order mean of h.
+common::BitVector reference_binarize(const std::vector<float>& h,
+                                     BinarizeMode mode) {
+  float threshold = 0.0f;
+  if (mode == BinarizeMode::kSampleMean) {
+    float sum = 0.0f;
+    for (const float v : h) sum += v;
+    threshold = sum / static_cast<float>(h.size());
+  }
+  common::BitVector bits(h.size());
+  for (std::size_t d = 0; d < h.size(); ++d)
+    if (h[d] > threshold) bits.set(d, true);
+  return bits;
+}
+
+// The four row kinds of the reference table: 0 dense, 1 sparse (the most
+// non-zeros that stay strictly below the nnz * 4 <= f cutoff, so project()
+// takes its sparse path), 2 dense with one -0.0f entry, 3 all zeros.
+std::vector<float> reference_row(std::size_t kind, std::size_t nf,
+                                 common::Rng& rng) {
+  std::vector<float> x(nf, 0.0f);
+  const auto value = [&] { return static_cast<float>(rng.uniform(-1.0, 1.0)); };
+  if (kind == 0 || kind == 2)
+    for (auto& v : x) v = value();
+  if (kind == 1)
+    for (std::size_t i = 0; i < (nf - 1) / 4; ++i) x[4 * i + 3] = value();
+  if (kind == 2) x[nf / 2] = -0.0f;
+  return x;
 }
 
 // ------------------------------------------------------- the counter stream
@@ -102,19 +159,10 @@ TEST(BasisProvider, WordsRowsAndTilesIdenticalAcrossKinds) {
     for (std::size_t w = 0; w < wpr; ++w)
       all_words[w] = static_cast<std::uint32_t>(w);
     std::vector<std::uint64_t> wm(wpr), wr(wpr);
-    std::vector<float> scratch(nf);
-    const float* row_m[1];
-    const float* row_r[1];
     for (std::size_t d = 0; d < dim; ++d) {
       mat->sign_words(d, all_words.data(), wpr, wm.data());
       rem->sign_words(d, all_words.data(), wpr, wr.data());
       EXPECT_EQ(wm, wr) << "shape " << nf << "x" << dim << " row " << d;
-
-      mat->float_rows(d, 1, nullptr, row_m);
-      rem->float_rows(d, 1, scratch.data(), row_r);
-      for (std::size_t f = 0; f < nf; ++f)
-        ASSERT_EQ(row_m[0][f], row_r[0][f])
-            << "shape " << nf << "x" << dim << " (" << d << "," << f << ")";
     }
 
     // Full-plane tile and an interior, unaligned tile.
@@ -127,10 +175,10 @@ TEST(BasisProvider, WordsRowsAndTilesIdenticalAcrossKinds) {
 }
 
 TEST(BasisProvider, SignRowsMatchSignWordsAcrossKindsAndGroupSizes) {
-  // sign_rows is the blocked encode kernels' bulk surface: row-major packed
+  // sign_rows is the blocked encode kernel's bulk surface: row-major packed
   // words for a whole row group, identical across providers and equal word
   // for word to the per-row sign_words accessor, at every group size the
-  // encoder uses (1, the kRowGroup of 4) plus odd and overshooting splits.
+  // kernel uses (1 and 4) plus odd and overshooting splits.
   for (const auto& [nf, dim] : kOddShapes) {
     const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 9);
     const auto rem =
@@ -184,9 +232,11 @@ TEST(BasisProvider, ResidentBytesContrast) {
   EXPECT_EQ(mat->model_bits(), nf * dim);
   EXPECT_EQ(rem->model_bits(), nf * dim);
   // ...but only one of them pays for it in software. The materialized plane
-  // holds at least the packed bits plus the 4-byte float mirror; the
+  // is its object plus the packed bits, ceil(f / 64) words per row; the
   // rematerialized plane is a few dozen bytes of object header.
-  EXPECT_GE(mat->resident_bytes(), dim * (nf / 8 + nf * sizeof(float)));
+  EXPECT_EQ(mat->resident_bytes(),
+            sizeof(MaterializedBasis) +
+                dim * ((nf + 63) / 64) * sizeof(std::uint64_t));
   EXPECT_LE(rem->resident_bytes(), 64u);
 }
 
@@ -216,6 +266,31 @@ TEST(RematEncoder, EncodeIdenticalToMaterializedOverOddShapes) {
         for (std::size_t d = 0; d < dim; ++d)
           ASSERT_EQ(pm[d], pr[d]) << nf << "x" << dim << " dim " << d;
         ASSERT_TRUE(mat.encode(x) == rem.encode(x)) << nf << "x" << dim;
+      }
+
+      // Both bases against the test-local reference, one row at a time and
+      // at batch counts around the 16-row block, over every row kind.
+      for (const ProjectionEncoder* enc : {&mat, &rem}) {
+        for (const std::size_t batch : {1UL, 15UL, 16UL, 17UL}) {
+          common::Matrix features(batch, nf);
+          std::vector<common::BitVector> expected;
+          for (std::size_t r = 0; r < batch; ++r) {
+            const auto x = reference_row(r % 4, nf, rng);
+            std::copy(x.begin(), x.end(), features.row(r).begin());
+            const auto h = reference_project(enc->basis(), x);
+            const auto ph = enc->project(x);
+            for (std::size_t d = 0; d < dim; ++d)
+              ASSERT_EQ(ph[d], h[d])
+                  << nf << "x" << dim << " kind " << r % 4 << " dim " << d;
+            expected.push_back(reference_binarize(h, mode));
+            ASSERT_TRUE(enc->encode(x) == expected.back())
+                << nf << "x" << dim << " kind " << r % 4;
+          }
+          const auto got = enc->encode_batch(features);
+          for (std::size_t r = 0; r < batch; ++r)
+            ASSERT_TRUE(got[r] == expected[r])
+                << nf << "x" << dim << " batch " << batch << " row " << r;
+        }
       }
     }
   }

@@ -75,7 +75,7 @@ TEST(ProjectionEncoder, ProjectMatchesManualMvm) {
     float acc = 0.0f;
     for (std::size_t i = 0; i < 8; ++i)
       acc += (enc.sign_matrix().get(d, i) ? 1.0f : -1.0f) * x[i];
-    EXPECT_NEAR(h[d], acc, 1e-5f);
+    EXPECT_EQ(h[d], acc);
   }
 }
 
