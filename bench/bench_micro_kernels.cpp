@@ -18,9 +18,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "src/api/batch_server.hpp"
@@ -143,7 +145,7 @@ void BM_ScalarAssociativeSearch2048x256(benchmark::State& state) {
 BENCHMARK(BM_ScalarAssociativeSearch2048x256);
 
 void BM_BatchProjectionEncode(benchmark::State& state) {
-  // Sample-blocked matmul encoding of 256 samples at once.
+  // Batch encoding of 256 samples at once.
   const std::size_t dim = static_cast<std::size_t>(state.range(0));
   hdc::ProjectionEncoderConfig cfg;
   cfg.num_features = 784;
@@ -299,6 +301,34 @@ PathComparison compare_score_table(std::size_t dim, std::size_t centroids,
   return cmp;
 }
 
+// The scalar reference the encode sections normalize by, bench-local so
+// the regression gate divides by untouched code: the sign plane expanded
+// once into float +/-1 rows (read through em_tile, cell (f, d)), then per
+// query one sequential dot per dimension and the sample-mean threshold.
+class ReferenceEncoder {
+ public:
+  explicit ReferenceEncoder(const hdc::ProjectionEncoder& enc)
+      : plane_(enc.dim(), enc.num_features()) {
+    const common::BitMatrix signs =
+        enc.basis().em_tile(0, enc.num_features(), 0, enc.dim());
+    for (std::size_t d = 0; d < enc.dim(); ++d)
+      for (std::size_t f = 0; f < enc.num_features(); ++f)
+        plane_(d, f) = signs.get(f, d) ? 1.0f : -1.0f;
+  }
+
+  common::BitVector encode(std::span<const float> x) const {
+    const std::size_t dim = plane_.rows();
+    std::vector<float> h(dim);
+    for (std::size_t d = 0; d < dim; ++d) h[d] = common::dot(plane_.row(d), x);
+    const float mean =
+        std::accumulate(h.begin(), h.end(), 0.0f) / static_cast<float>(dim);
+    return common::BitVector::from_threshold(h.data(), dim, mean);
+  }
+
+ private:
+  common::Matrix plane_;  // dim x num_features, +/-1
+};
+
 PathComparison compare_projection_encode(std::size_t num_features,
                                          std::size_t dim, std::size_t batch,
                                          int reps) {
@@ -309,28 +339,14 @@ PathComparison compare_projection_encode(std::size_t num_features,
   common::Rng rng(2);
   const auto features =
       common::Matrix::random_uniform(batch, num_features, rng);
-
-  // The scalar column is bench-local reference code, so the regression
-  // gate can normalize by it: the sign plane expanded once into float +/-1
-  // rows, then per query one sequential dot per dimension and the
-  // sample-mean threshold.
-  common::Matrix plane(dim, num_features);
-  for (std::size_t d = 0; d < dim; ++d)
-    for (std::size_t f = 0; f < num_features; ++f)
-      plane(d, f) = enc.sign_matrix().get(d, f) ? 1.0f : -1.0f;
+  const ReferenceEncoder reference(enc);
 
   PathComparison cmp;
   cmp.backend = common::active_backend().name;
   std::vector<common::BitVector> scalar_out(batch);
   const double t_scalar = best_seconds(reps, [&] {
-    for (std::size_t s = 0; s < batch; ++s) {
-      std::vector<float> h(dim);
-      for (std::size_t d = 0; d < dim; ++d)
-        h[d] = common::dot(plane.row(d), features.row(s));
-      const float mean = std::accumulate(h.begin(), h.end(), 0.0f) /
-                         static_cast<float>(dim);
-      scalar_out[s] = common::BitVector::from_threshold(h.data(), dim, mean);
-    }
+    for (std::size_t s = 0; s < batch; ++s)
+      scalar_out[s] = reference.encode(features.row(s));
   });
   std::vector<common::BitVector> batch_out;
   const double t_batch =
@@ -339,6 +355,55 @@ PathComparison compare_projection_encode(std::size_t num_features,
   cmp.batch_per_sec = static_cast<double>(batch) / t_batch;
   cmp.bit_identical = (scalar_out == batch_out);
   return cmp;
+}
+
+// Serving-sized batches: encode_batch at B rows per call over the same
+// `total` rows, for each B in kSmallBatches. The gated batch column is the
+// B=1 rate (a lone query, the common serving cut); the scalar column is the
+// ReferenceEncoder over those rows. bit_identical covers every B.
+constexpr std::size_t kSmallBatches[] = {1, 4, 16, 64};
+
+struct SmallBatchEncode {
+  PathComparison cmp;
+  double rows_per_sec[std::size(kSmallBatches)] = {};
+};
+
+SmallBatchEncode compare_encode_small_batch(std::size_t num_features,
+                                            std::size_t dim,
+                                            std::size_t total, int reps) {
+  hdc::ProjectionEncoderConfig cfg;
+  cfg.num_features = num_features;
+  cfg.dim = dim;
+  cfg.basis = hdc::BasisKind::kMaterialized;
+  const hdc::ProjectionEncoder enc(cfg);
+  common::Rng rng(2);
+  const auto features =
+      common::Matrix::random_uniform(total, num_features, rng);
+  const ReferenceEncoder reference(enc);
+
+  SmallBatchEncode out;
+  out.cmp.backend = common::active_backend().name;
+  std::vector<common::BitVector> scalar_out(total);
+  const double t_scalar = best_seconds(reps, [&] {
+    for (std::size_t s = 0; s < total; ++s)
+      scalar_out[s] = reference.encode(features.row(s));
+  });
+  out.cmp.scalar_per_sec = static_cast<double>(total) / t_scalar;
+  out.cmp.bit_identical = true;
+  for (std::size_t i = 0; i < std::size(kSmallBatches); ++i) {
+    const std::size_t b = kSmallBatches[i];
+    std::vector<common::BitVector> batch_out(total);
+    const double t = best_seconds(reps, [&] {
+      for (std::size_t lo = 0; lo < total; lo += b) {
+        auto part = enc.encode_batch(features, lo, std::min(b, total - lo));
+        std::move(part.begin(), part.end(), batch_out.begin() + lo);
+      }
+    });
+    out.rows_per_sec[i] = static_cast<double>(total) / t;
+    out.cmp.bit_identical &= (batch_out == scalar_out);
+  }
+  out.cmp.batch_per_sec = out.rows_per_sec[0];
+  return out;
 }
 
 // Rematerialized vs materialized batch encoding at the same shape: the
@@ -374,12 +439,13 @@ PathComparison compare_encode_remat(std::size_t num_features, std::size_t dim,
 }
 
 /// What a materialized plane would keep resident at this shape (the packed
-/// signs) — computed analytically so the ultra-high-D points don't require
-/// large allocations just to report a number.
+/// signs, f rows of ceil(D / 64) words) — computed analytically so the
+/// ultra-high-D points don't require large allocations just to report a
+/// number.
 std::size_t materialized_resident_bytes(std::size_t num_features,
                                         std::size_t dim) {
-  const std::size_t words_per_row = (num_features + 63) / 64;
-  return dim * words_per_row * sizeof(std::uint64_t);
+  const std::size_t words_per_row = (dim + 63) / 64;
+  return num_features * words_per_row * sizeof(std::uint64_t);
 }
 
 // The IMC functional-simulation batch path: per-query PartitionedAm::scores
@@ -653,6 +719,8 @@ int run_json_suite() {
   const auto search = compare_associative_search(2048, 256, 1024, /*reps=*/9);
   const auto table = compare_score_table(2048, 256, 1024, /*reps=*/9);
   const auto encode = compare_projection_encode(784, 2048, 256, /*reps=*/5);
+  // Serving-sized encode batches at perfbench's serve shape.
+  const auto small = compare_encode_small_batch(256, 8192, 64, /*reps=*/5);
   // IMC functional-simulation batch kernels (wordline-parallel partitioned
   // search, geometric-skip noise injection) and the blocked K-means
   // assignment step.
@@ -699,6 +767,27 @@ int run_json_suite() {
                    /*trailing_comma=*/true);
   write_comparison(f, "projection_encode", encode, 2048, 784, 256, "features",
                    /*trailing_comma=*/true);
+  // encode_small_batch: the standard fields (batch = the B=1 rate) plus the
+  // rows/s at every measured batch size.
+  std::fprintf(f,
+               "  \"encode_small_batch\": {\n"
+               "    \"dim\": %zu,\n"
+               "    \"features\": %zu,\n"
+               "    \"batch\": %zu,\n"
+               "    \"backend\": \"%s\",\n"
+               "    \"scalar_queries_per_sec\": %.1f,\n"
+               "    \"batch_queries_per_sec\": %.1f,\n"
+               "    \"speedup\": %.3f,\n"
+               "    \"bit_identical\": %s,\n",
+               std::size_t{8192}, std::size_t{256}, std::size_t{1},
+               small.cmp.backend, small.cmp.scalar_per_sec,
+               small.cmp.batch_per_sec, small.cmp.speedup(),
+               small.cmp.bit_identical ? "true" : "false");
+  for (std::size_t i = 0; i < std::size(kSmallBatches); ++i)
+    std::fprintf(f, "    \"batch_%zu_rows_per_sec\": %.1f%s\n",
+                 kSmallBatches[i], small.rows_per_sec[i],
+                 i + 1 < std::size(kSmallBatches) ? "," : "");
+  std::fprintf(f, "  },\n");
   write_comparison(f, "partitioned_search", part, 1024, 16, 256, "classes",
                    /*trailing_comma=*/true);
   write_comparison(f, "noise_inject", noise, 2048, 256, 1, "rows",
@@ -751,6 +840,13 @@ int run_json_suite() {
       "bit-identical %s\n",
       encode.scalar_per_sec, encode.batch_per_sec, encode.speedup(),
       encode.bit_identical ? "yes" : "NO");
+  std::printf(
+      "small-batch encode F=256 D=8192 (materialized):\n"
+      "  scalar %.0f enc/s | B=1 %.0f | B=4 %.0f | B=16 %.0f | B=64 %.0f "
+      "rows/s | bit-identical %s\n",
+      small.cmp.scalar_per_sec, small.rows_per_sec[0], small.rows_per_sec[1],
+      small.rows_per_sec[2], small.rows_per_sec[3],
+      small.cmp.bit_identical ? "yes" : "NO");
   std::printf(
       "partitioned IMC search D=1024 C=16 P=4 B=256:\n"
       "  scalar %.0f q/s | batched %.0f q/s | speedup %.2fx | bit-identical "
@@ -816,7 +912,8 @@ int run_json_suite() {
   }
   std::printf("wrote %s\n", path.c_str());
   return (search.bit_identical && table.bit_identical &&
-          encode.bit_identical && part.bit_identical && noise.bit_identical &&
+          encode.bit_identical && small.cmp.bit_identical &&
+          part.bit_identical && noise.bit_identical &&
           assign.bit_identical && fp_validate.bit_identical &&
           serve.bit_identical && remat.bit_identical)
              ? 0

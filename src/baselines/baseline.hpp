@@ -62,7 +62,7 @@ class BaselineModel {
 
   /// Encodes every row of a feature matrix (cols == num_features()). The
   /// default loops encode(); projection-based models override with the
-  /// sample-blocked matmul path.
+  /// encoder's batched kernel.
   virtual std::vector<common::BitVector> encode_batch(
       const common::Matrix& features) const;
 

@@ -20,7 +20,7 @@ class BasicHdc final : public BaselineModel {
   void fit(const data::Dataset& train) override;
 
   common::BitVector encode(std::span<const float> features) const override;
-  /// Sample-blocked projection matmul (bit-identical to per-row encode()).
+  /// Batched projection encode (bit-identical to per-row encode()).
   std::vector<common::BitVector> encode_batch(
       const common::Matrix& features) const override;
   hdc::EncodedDataset encode_dataset(

@@ -1,5 +1,7 @@
 #include "src/common/bit_vector.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
 
@@ -18,9 +20,16 @@ BitVector BitVector::from_bools(const std::vector<bool>& bits) {
 BitVector BitVector::from_threshold(const float* values, std::size_t n,
                                     float threshold) {
   BitVector v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (values[i] > threshold)
-      v.words_[i / kBitsPerWord] |= 1ULL << (i % kBitsPerWord);
+  // Each word ORs 64 comparison results, with no branch per bit (a data-
+  // dependent branch mispredicts on half the bits of a balanced encoding).
+  for (std::size_t w = 0; w < v.words_.size(); ++w) {
+    const float* x = values + w * kBitsPerWord;
+    const std::size_t count = std::min(kBitsPerWord, n - w * kBitsPerWord);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < count; ++i)
+      word |= static_cast<std::uint64_t>(x[i] > threshold) << i;
+    v.words_[w] = word;
+  }
   return v;
 }
 

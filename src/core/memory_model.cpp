@@ -34,15 +34,16 @@ double MemoryBreakdown::resident_kb() const {
 
 namespace {
 
-/// Software-resident bytes of a projection encoder plane: the packed sign
-/// rows the encode kernels stream — or a small constant when the plane is
-/// rematerialized from its seed on demand.
+/// Software-resident bytes of a projection encoder plane: the packed
+/// feature-major sign plane the encode kernel reads, f rows of ceil(D / 64)
+/// words — or a small constant when the plane is rematerialized from its
+/// seed on demand.
 std::size_t projection_resident_bytes(std::size_t num_features,
                                       std::size_t dim, hdc::BasisKind basis) {
   if (basis == hdc::BasisKind::kRematerialized)
     return sizeof(hdc::RematerializedBasis);
-  const std::size_t words_per_row = (num_features + 63) / 64;
-  return dim * words_per_row * sizeof(std::uint64_t);
+  const std::size_t words_per_row = (dim + 63) / 64;
+  return num_features * words_per_row * sizeof(std::uint64_t);
 }
 
 /// AM residency: packed binary rows plus the float shadow kept for

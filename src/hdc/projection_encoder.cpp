@@ -1,10 +1,10 @@
 #include "src/hdc/projection_encoder.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
-#include <numeric>
 
-#if defined(__AVX512F__)
+#if defined(__AVX512BW__)
 #include <immintrin.h>
 #endif
 
@@ -18,7 +18,7 @@ namespace {
 /// 64 packed sign bits -> 64 floats via a byte-indexed table of 8-float
 /// groups (8 KB, L1-resident): one 32-byte copy per byte of the word
 /// replaces 64 test-and-branch stores. Fallback for targets without
-/// AVX-512 mask blends.
+/// AVX-512BW mask registers.
 [[maybe_unused]] constexpr auto kBitFloats = [] {
   std::array<std::array<float, 8>, 256> table{};
   for (std::size_t b = 0; b < 256; ++b)
@@ -32,21 +32,96 @@ namespace {
 /// expansion micro-ops overlap the math; identical float output on every
 /// path (the AVX-512 mask blend and the byte-LUT copy agree bit for bit).
 inline void expand_sign_word(std::uint64_t word, float* out) {
-#if defined(__AVX512F__)
-  // Mask-blend: each 16-bit slice of the word selects +1/-1 lanes directly
-  // (bit i of the mask -> lane i), no table traffic at all.
+#if defined(__AVX512BW__)
+  // Mask-blend: the word goes into one 64-bit mask register, and each
+  // 16-bit slice of it selects +1/-1 lanes directly (bit i of the mask ->
+  // lane i), no table traffic at all.
   const __m512 plus = _mm512_set1_ps(1.0f);
   const __m512 minus = _mm512_set1_ps(-1.0f);
+  const __mmask64 bits = _cvtu64_mask64(word);
+  const __mmask64 slices[4] = {bits, _kshiftri_mask64(bits, 16),
+                               _kshiftri_mask64(bits, 32),
+                               _kshiftri_mask64(bits, 48)};
   for (std::size_t b = 0; b < 4; ++b)
-    _mm512_storeu_ps(
-        out + b * 16,
-        _mm512_mask_blend_ps(static_cast<__mmask16>(word >> (b * 16)), minus,
-                             plus));
+    _mm512_storeu_ps(out + b * 16,
+                     _mm512_mask_blend_ps(static_cast<__mmask16>(slices[b]),
+                                          minus, plus));
 #else
   for (std::size_t b = 0; b < 8; ++b)
     std::memcpy(out + b * 8, kBitFloats[(word >> (b * 8)) & 0xFF].data(),
                 8 * sizeof(float));
 #endif
+}
+
+/// 16 float lanes: one output-dimension accumulator vector.
+typedef float DimVec __attribute__((vector_size(16 * sizeof(float))));
+constexpr std::size_t kLanes = 16;
+/// Dimension words (64 dims each) per plane tile: 256 dims, the width one
+/// row's 16 accumulators cover.
+constexpr std::size_t kTileWords = 4;
+
+/// The rows of one accumulator group (R <= 4 rows of a chunk), reduced to
+/// the features that are non-zero in at least one of them: x[i * R + r] is
+/// row r's value of feature active[i]. A feature that is +/-0 in every row
+/// adds +/-0.0 to every accumulator, which leaves a sum that starts at +0
+/// unchanged, so dropping it is exact.
+struct RowGroup {
+  std::size_t first;  // first row of the group within the chunk
+  std::size_t rows;
+  std::vector<std::uint32_t> active;
+  std::vector<float> x;
+};
+
+/// Adds +/-x of every active feature, in ascending order, into R x 4W
+/// accumulators (R rows x W dimension words of `signs` from dimension d),
+/// then stores the dims below `dim` into `block`. x * (+/-1) is exact, so
+/// each dimension gets the float sequence of a sequential dot from +0.
+template <std::size_t R, std::size_t W>
+void project_tile(const std::uint64_t* signs, std::size_t stride,
+                  const RowGroup& group, float* block, std::size_t dim,
+                  std::size_t d) {
+  DimVec acc[R][4 * W] = {};
+  alignas(64) float pm[W][64];
+  for (std::size_t i = 0; i < group.active.size(); ++i) {
+    const std::uint64_t* words = signs + group.active[i] * stride;
+    for (std::size_t w = 0; w < W; ++w) expand_sign_word(words[w], pm[w]);
+    for (std::size_t r = 0; r < R; ++r) {
+      const float x = group.x[i * R + r];
+      for (std::size_t v = 0; v < 4 * W; ++v) {
+        DimVec sign;
+        std::memcpy(&sign, &pm[v / 4][(v % 4) * kLanes], sizeof(sign));
+        acc[r][v] += x * sign;
+      }
+    }
+  }
+  const std::size_t nd = std::min(W * 64, dim - d);
+  for (std::size_t r = 0; r < R; ++r) {
+    float* out = block + (group.first + r) * dim + d;
+    for (std::size_t v = 0; v * kLanes < nd; ++v) {
+      if (nd - v * kLanes >= kLanes)
+        std::memcpy(out + v * kLanes, &acc[r][v], sizeof(DimVec));
+      else
+        std::memcpy(out + v * kLanes, &acc[r][v],
+                    (nd - v * kLanes) * sizeof(float));
+    }
+  }
+}
+
+/// One plane tile (`count` <= kTileWords dimension words from output
+/// dimension d0) for one group: W = kTileWords / R words per pass keeps 16
+/// accumulators live; a narrower tail tile takes one word per pass.
+template <std::size_t R>
+void project_group(const SignTile& tile, std::size_t count,
+                   const RowGroup& group, float* block, std::size_t dim,
+                   std::size_t d0) {
+  constexpr std::size_t W = kTileWords / R;
+  std::size_t w = 0;
+  for (; w + W <= count; w += W)
+    project_tile<R, W>(tile.words + w, tile.stride, group, block, dim,
+                       d0 + w * 64);
+  for (; w < count; ++w)
+    project_tile<R, 1>(tile.words + w, tile.stride, group, block, dim,
+                       d0 + w * 64);
 }
 
 }  // namespace
@@ -56,75 +131,42 @@ ProjectionEncoder::ProjectionEncoder(const ProjectionEncoderConfig& config)
       basis_(make_basis_provider(config.basis, config.dim,
                                  config.num_features, config.seed)) {}
 
-const common::BitMatrix& ProjectionEncoder::sign_matrix() const {
-  const auto* materialized =
-      dynamic_cast<const MaterializedBasis*>(basis_.get());
-  MEMHD_EXPECTS(materialized != nullptr);  // materialized mode only
-  return materialized->sign_matrix();
-}
-
-void ProjectionEncoder::project_sparse(std::span<const float> features,
-                                       std::span<float> out) const {
-  const std::size_t nf = config_.num_features;
-  // Non-zero features in ascending order — the same accumulation order as
-  // the dense loop minus its exactly-zero terms — and the distinct basis
-  // words they live in (the only words fetched per output dim).
-  std::vector<std::uint32_t> nz;          // feature indices
-  std::vector<std::uint32_t> word_list;   // distinct words, ascending
-  std::vector<std::uint32_t> word_slot;   // nz[i]'s index into word_list
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (features[f] == 0.0f) continue;
-    const std::uint32_t w = static_cast<std::uint32_t>(f >> 6);
-    if (word_list.empty() || word_list.back() != w) word_list.push_back(w);
-    nz.push_back(static_cast<std::uint32_t>(f));
-    word_slot.push_back(static_cast<std::uint32_t>(word_list.size() - 1));
-  }
-  std::vector<std::uint64_t> words(word_list.size());
-  for (std::size_t d = 0; d < config_.dim; ++d) {
-    basis_->sign_words(d, word_list.data(), word_list.size(), words.data());
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < nz.size(); ++i) {
-      const std::uint32_t f = nz[i];
-      const bool positive = (words[word_slot[i]] >> (f & 63)) & 1ULL;
-      acc += (positive ? 1.0f : -1.0f) * features[f];
-    }
-    out[d] = acc;
-  }
-}
-
 std::vector<float> ProjectionEncoder::project(
     std::span<const float> features) const {
   MEMHD_EXPECTS(features.size() == config_.num_features);
-  std::vector<float> h(config_.dim, 0.0f);
-  std::size_t nnz = 0;
-  for (const float v : features) nnz += (v != 0.0f);
-  if (nnz * kSparseInverseDensity <= config_.num_features) {
-    project_sparse(features, h);
-  } else {
-    const float* row = features.data();
-    project_block(&row, 1, h.data());
-  }
+  std::vector<float> h(config_.dim);
+  const float* row = features.data();
+  project_block(&row, 1, h.data());
   return h;
 }
 
-float ProjectionEncoder::binarize_threshold(
-    std::span<const float> projected) const {
-  switch (config_.binarize) {
-    case BinarizeMode::kZeroThreshold:
-      return 0.0f;
-    case BinarizeMode::kSampleMean: {
-      const float sum =
-          std::accumulate(projected.begin(), projected.end(), 0.0f);
-      return sum / static_cast<float>(projected.size());
-    }
+void ProjectionEncoder::binarize_thresholds(const float* block,
+                                            std::size_t count,
+                                            float* thresholds) const {
+  const std::size_t dim = config_.dim;
+  if (config_.binarize == BinarizeMode::kZeroThreshold) {
+    std::fill(thresholds, thresholds + count, 0.0f);
+    return;
   }
-  return 0.0f;
+  // Each row's sum runs in ascending order from +0; four rows at a time so
+  // their add chains overlap (a short group repeats its last row).
+  for (std::size_t s = 0; s < count; s += 4) {
+    const float* r[4];
+    for (std::size_t i = 0; i < 4; ++i)
+      r[i] = block + std::min(s + i, count - 1) * dim;
+    float sum[4] = {};
+    for (std::size_t d = 0; d < dim; ++d)
+      for (std::size_t i = 0; i < 4; ++i) sum[i] += r[i][d];
+    for (std::size_t i = 0; i < 4 && s + i < count; ++i)
+      thresholds[s + i] = sum[i] / static_cast<float>(dim);
+  }
 }
 
 common::BitVector ProjectionEncoder::encode(
     std::span<const float> features) const {
   const std::vector<float> h = project(features);
-  const float threshold = binarize_threshold(h);
+  float threshold = 0.0f;
+  binarize_thresholds(h.data(), 1, &threshold);
   return common::BitVector::from_threshold(h.data(), h.size(), threshold);
 }
 
@@ -134,81 +176,36 @@ void ProjectionEncoder::project_block(const float* const* rows,
   const std::size_t nf = config_.num_features;
   const std::size_t dim = config_.dim;
 
-  // Feature-major transpose of the block, padded to kSampleBlock columns:
-  // xt[f * kSampleBlock + s] = rows[s][f]. One weight element then
-  // multiplies a contiguous run of samples, so the inner sample loop below
-  // vectorizes while each sample's own accumulation stays in feature order
-  // — the float sequence of a sequential scalar dot, with kSampleBlock
-  // independent chains instead of one. A lone row (project()) takes the
-  // same path as a full block, so the result never depends on the count.
-  std::vector<float> xt(nf * kSampleBlock, 0.0f);
-  for (std::size_t s = 0; s < count; ++s)
-    for (std::size_t f = 0; f < nf; ++f) xt[f * kSampleBlock + s] = rows[s][f];
+  std::vector<RowGroup> groups;  // of up to four rows
+  for (std::size_t first = 0; first < count; first += 4) {
+    const std::size_t r = std::min<std::size_t>(4, count - first);
+    RowGroup& g = groups.emplace_back(RowGroup{first, r, {}, {}});
+    g.active.reserve(nf);
+    g.x.reserve(nf * r);
+    for (std::size_t f = 0; f < nf; ++f) {
+      bool any = false;
+      for (std::size_t i = 0; i < r; ++i) any |= rows[first + i][f] != 0.0f;
+      if (!any) continue;
+      g.active.push_back(static_cast<std::uint32_t>(f));
+      for (std::size_t i = 0; i < r; ++i) g.x.push_back(rows[first + i][f]);
+    }
+  }
 
-  // One vector register of per-sample accumulators; four output dimensions
-  // in flight so the per-lane FMA chains overlap instead of serializing on
-  // FMA latency. Lane s accumulates sample s's projection in feature order,
-  // exactly like the sequential scalar dot.
-  //
-  // Weights arrive as PACKED sign rows (sign_rows) and are expanded to
-  // float +/-1 one 64-feature word tile at a time, inside the FMA loop: the
-  // expansion micro-ops (mask blends / table copies + L1 stores) fill port
-  // slack the FMA chains leave open instead of running as a serial phase,
-  // a materialized plane streams one bit per weight, and a rematerialized
-  // plane replays the same words at the same cost.
-  // Either way the float values and accumulation order are identical, so
-  // the two modes encode bit-identically.
-  const std::size_t wpr = basis_->words_per_row();
-  // Double-buffered word groups: the NEXT group's rows are fetched (or, for
-  // a rematerialized plane, regenerated) before the current group's FMA
-  // loop, so the generation integer ops retire in that loop's port bubbles
-  // instead of serializing in front of it.
-  std::vector<std::uint64_t> wbuf(8 * wpr);
-  std::uint64_t* wcur = wbuf.data();
-  std::uint64_t* wnext = wbuf.data() + 4 * wpr;
-  alignas(64) float tile[4][64];
-  typedef float SampleVec
-      __attribute__((vector_size(kSampleBlock * sizeof(float)), aligned(4)));
-  const SampleVec* xv = reinterpret_cast<const SampleVec*>(xt.data());
-  std::size_t d = 0;
-  if (dim >= 4) basis_->sign_rows(0, 4, wcur);
-  for (; d + 4 <= dim; d += 4) {
-    if (d + 8 <= dim) basis_->sign_rows(d + 4, 4, wnext);
-    SampleVec a0{}, a1{}, a2{}, a3{};
-    for (std::size_t w = 0; w < wpr; ++w) {
-      expand_sign_word(wcur[w], tile[0]);
-      expand_sign_word(wcur[wpr + w], tile[1]);
-      expand_sign_word(wcur[2 * wpr + w], tile[2]);
-      expand_sign_word(wcur[3 * wpr + w], tile[3]);
-      const std::size_t f0 = w * 64;
-      const std::size_t fn = std::min<std::size_t>(64, nf - f0);
-      for (std::size_t k = 0; k < fn; ++k) {
-        const SampleVec x = xv[f0 + k];
-        a0 += x * tile[0][k];
-        a1 += x * tile[1][k];
-        a2 += x * tile[2][k];
-        a3 += x * tile[3][k];
+  // Tile-outer: each tile of the plane is read (or rematerialized) once
+  // for every group of the block.
+  const std::size_t dim_words = common::words_for_bits(dim);
+  std::vector<std::uint64_t> scratch;
+  for (std::size_t w0 = 0; w0 < dim_words; w0 += kTileWords) {
+    const std::size_t n = std::min(kTileWords, dim_words - w0);
+    const SignTile tile = basis_->feature_words(w0, n, scratch);
+    for (const RowGroup& g : groups) {
+      switch (g.rows) {
+        case 4: project_group<4>(tile, n, g, block, dim, w0 * 64); break;
+        case 3: project_group<3>(tile, n, g, block, dim, w0 * 64); break;
+        case 2: project_group<2>(tile, n, g, block, dim, w0 * 64); break;
+        default: project_group<1>(tile, n, g, block, dim, w0 * 64); break;
       }
     }
-    for (std::size_t s = 0; s < count; ++s) {
-      float* o = block + s * dim + d;
-      o[0] = a0[s];
-      o[1] = a1[s];
-      o[2] = a2[s];
-      o[3] = a3[s];
-    }
-    std::swap(wcur, wnext);
-  }
-  for (; d < dim; ++d) {
-    basis_->sign_rows(d, 1, wcur);
-    SampleVec a{};
-    for (std::size_t w = 0; w < wpr; ++w) {
-      expand_sign_word(wcur[w], tile[0]);
-      const std::size_t f0 = w * 64;
-      const std::size_t fn = std::min<std::size_t>(64, nf - f0);
-      for (std::size_t k = 0; k < fn; ++k) a += xv[f0 + k] * tile[0][k];
-    }
-    for (std::size_t s = 0; s < count; ++s) block[s * dim + d] = a[s];
   }
 }
 
@@ -230,11 +227,11 @@ std::vector<common::BitVector> ProjectionEncoder::encode_batch(
           rows[s] = features.row(begin + lo + s).data();
         std::vector<float> block(n * dim);
         project_block(rows, n, block.data());
-        for (std::size_t s = 0; s < n; ++s) {
-          const std::span<const float> hs(block.data() + s * dim, dim);
+        float thresholds[kSampleBlock];
+        binarize_thresholds(block.data(), n, thresholds);
+        for (std::size_t s = 0; s < n; ++s)
           out[lo + s] = common::BitVector::from_threshold(
-              hs.data(), hs.size(), binarize_threshold(hs));
-        }
+              block.data() + s * dim, dim, thresholds[s]);
       },
       /*grain=*/8);
   return out;

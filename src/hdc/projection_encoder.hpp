@@ -12,19 +12,16 @@
 // stream (kRematerialized — O(1) encoder memory at any D). Both modes
 // produce bit-identical encodings for the same seed; the model memory the
 // paper's Table I counts (f x D bits) is the same either way, only the
-// software-resident bytes differ. Dense inputs run through one blocked
-// kernel, whether they arrive one row at a time (encode()/project()) or as
-// a batch (encode_batch). A sparse-input fast path kicks in automatically on
-// encode()/project() when most features are zero, touching only the basis
-// words that non-zero features select — identical results to the dense
-// kernel (skipping x == +/-0.0 terms cannot change an IEEE-754 sum whose
-// accumulator starts at +0).
+// software-resident bytes differ. Every projection — encode(), project()
+// and encode_batch — runs one feature-major kernel over the plane's
+// f-row x D-column words: per tile of output dimensions it adds +/-x[f] in
+// ascending f, and it skips a feature that is +/-0 in every row it is
+// projecting (adding +/-0.0 to a sum that starts at +0 never changes it).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "src/common/bit_matrix.hpp"
 #include "src/common/bit_vector.hpp"
 #include "src/common/matrix.hpp"
 #include "src/data/dataset.hpp"
@@ -72,10 +69,10 @@ class ProjectionEncoder {
   std::vector<float> project(std::span<const float> features) const;
 
   /// Encodes rows [begin, begin + count) of a feature matrix (cols ==
-  /// num_features) as one sample-blocked matmul: each projection row is
-  /// loaded once per block of samples instead of once per sample, so the
-  /// D x F weight plane streams through cache (or is rematerialized)
-  /// 1/block_size times as often. Bit-identical to encode() on each row.
+  /// num_features) in chunks of kSampleBlock rows, parallel over chunks:
+  /// within a chunk each tile of the sign plane is read (or
+  /// rematerialized) once for all its rows. Bit-identical to encode() on
+  /// each row.
   std::vector<common::BitVector> encode_batch(const common::Matrix& features,
                                               std::size_t begin,
                                               std::size_t count) const;
@@ -87,13 +84,10 @@ class ProjectionEncoder {
   /// parallel over sample blocks).
   EncodedDataset encode_dataset(const data::Dataset& dataset) const;
 
-  /// The basis plane behind this encoder (IMC mapping, memory accounting).
+  /// The basis plane behind this encoder (IMC mapping, memory accounting;
+  /// basis().em_tile(0, f, 0, D) is the whole sign matrix, bit = 1 for a
+  /// +1 weight).
   const BasisProvider& basis() const { return *basis_; }
-
-  /// The packed sign matrix (D rows x f cols; bit=1 means +1 weight).
-  /// Materialized mode only — a rematerialized plane has no resident
-  /// matrix; use basis().em_tile() / basis().sign_words() instead.
-  const common::BitMatrix& sign_matrix() const;
 
   /// Encoder model memory in bits: f * D (Table I, projection row) — what
   /// the deployed IMC plane costs, independent of basis mode.
@@ -103,23 +97,20 @@ class ProjectionEncoder {
   std::size_t resident_bytes() const;
 
  private:
-  float binarize_threshold(std::span<const float> projected) const;
-  /// Dense projection of `count` <= kSampleBlock feature rows (each
-  /// num_features floats) into `block` (count x dim, row-major): the
-  /// blocked kernel behind both project() and encode_batch.
+  /// Binarization thresholds of `count` projected rows (count x dim,
+  /// row-major): 0, or each row's mean with its sum taken in ascending
+  /// order from +0.
+  void binarize_thresholds(const float* block, std::size_t count,
+                           float* thresholds) const;
+  /// Projection of `count` <= kSampleBlock feature rows (each num_features
+  /// floats) into `block` (count x dim, row-major): the kernel behind
+  /// project(), encode() and encode_batch.
   void project_block(const float* const* rows, std::size_t count,
                      float* block) const;
-  /// Sparse projection: only the basis words non-zero features live in.
-  /// Bit-identical to project_block (the +/-0.0 skipping argument above).
-  void project_sparse(std::span<const float> features,
-                      std::span<float> out) const;
 
-  /// Samples per matmul block: one SIMD register of independent per-sample
-  /// accumulators; weight row + transposed block features stay L1-hot.
+  /// Rows per encode_batch chunk, the unit of its parallel split: one pass
+  /// over the sign plane serves every row of a chunk.
   static constexpr std::size_t kSampleBlock = 16;
-  /// encode()/project() switch to the sparse path when non-zeros make up
-  /// at most 1/kSparseInverseDensity of the features.
-  static constexpr std::size_t kSparseInverseDensity = 4;
 
   ProjectionEncoderConfig config_;
   /// Immutable and shared: encoder copies (and every copy-on-write model

@@ -67,7 +67,7 @@
 //       the plane (ModelOptions::cascade* knobs).
 //   core::MultiCentroidAM::scores_batch / predict_batch
 //   hdc::AssociativeMemory::scores_batch / predict_batch
-//   hdc::ProjectionEncoder::encode_batch        (sample-blocked matmul)
+//   hdc::ProjectionEncoder::encode_batch        (feature-major kernel)
 //   core::MemhdModel::predict_batch             (encode + search pipeline)
 //   imc::PartitionedAm::scores_batch / predict_batch
 //   baselines::*::predict_batch / scores_batch  (all four, via the base

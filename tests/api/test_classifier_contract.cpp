@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -46,10 +45,6 @@ api::ModelOptions small_options(core::ModelKind kind) {
   return opts;
 }
 
-std::string temp_model_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 class RegistryContract : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegistryContract, BatchIsBitIdenticalToPerSamplePredict) {
@@ -85,7 +80,7 @@ TEST_P(RegistryContract, SaveLoadRoundTripsBitExactly) {
   model->fit(split.train);
 
   const std::string path =
-      temp_model_path("api_roundtrip_" + GetParam() + ".mhd");
+      testing::temp_path("api_roundtrip_" + GetParam() + ".mhd");
   model->save(path);
   const auto reloaded = api::load(path);
   std::remove(path.c_str());
@@ -227,14 +222,15 @@ TEST(ApiRegistry, RematOptionFlowsThroughRegistryBitIdentically) {
         << name;
     // The resident split shows up in the memory breakdown; model bits
     // stay equal (Table I counts the deployed plane, not software bytes).
-    // The materialized encoder holds the packed plane, ceil(f / 64) words
-    // per row; the rematerialized one holds its seed and shape.
+    // The materialized encoder holds the packed plane, f rows of
+    // ceil(D / 64) words; the rematerialized one holds its seed and shape.
     const auto mm = mat->memory();
     const auto rm = rem->memory();
     EXPECT_EQ(mm.encoder_bits, rm.encoder_bits) << name;
-    const std::size_t words_per_row = (split.train.num_features() + 63) / 64;
+    const std::size_t words_per_row = (opts.dim + 63) / 64;
     EXPECT_EQ(mm.encoder_resident_bytes,
-              opts.dim * words_per_row * sizeof(std::uint64_t))
+              split.train.num_features() * words_per_row *
+                  sizeof(std::uint64_t))
         << name;
     EXPECT_LE(rm.encoder_resident_bytes, 64u) << name;
   }
@@ -315,7 +311,7 @@ TEST(ApiSerialize, DerivationByteOtherThanCounterStreamThrows) {
 }
 
 TEST(ApiSerialize, LoadRejectsGarbage) {
-  const std::string path = temp_model_path("api_garbage.mhd");
+  const std::string path = testing::temp_path("api_garbage.mhd");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("definitely not a model", f);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "src/common/rng.hpp"
 
 namespace memhd::common {
@@ -46,6 +50,28 @@ TEST(BitVector, FromThresholdStrictlyGreater) {
   EXPECT_TRUE(v.get(2));
   EXPECT_FALSE(v.get(3));
   EXPECT_TRUE(v.get(4));
+
+  // Around the 64-bit word boundary, every bit is `value > threshold`:
+  // values equal to the threshold and NaN stay clear, -0.0f and +0.0f are
+  // not above a threshold of 0, and the tail past n stays zero.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (const float threshold : {0.0f, 0.25f}) {
+      std::vector<float> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float cycle[] = {threshold, nan, -0.0f, 0.0f, 1.0f, -1.0f,
+                               std::nextafter(threshold, 1.0f)};
+        x[i] = cycle[i % 7];
+      }
+      const auto bits = BitVector::from_threshold(x.data(), n, threshold);
+      ASSERT_EQ(bits.size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(bits.get(i), x[i] > threshold)
+            << "n=" << n << " threshold " << threshold << " bit " << i;
+      const std::size_t last = bits.num_words() - 1;
+      EXPECT_EQ(bits.words()[last] & ~tail_mask(n), 0ULL) << "n=" << n;
+    }
+  }
 }
 
 TEST(BitVector, DotMatchesNaive) {

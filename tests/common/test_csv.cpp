@@ -3,17 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+
+#include "test_util.hpp"
 
 namespace memhd::common {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(Csv, WriteReadRoundTrip) {
-  const std::string path = temp_path("memhd_csv_rt.csv");
+  const std::string path = testing::temp_path("memhd_csv_rt.csv");
   {
     CsvWriter w(path);
     w.write_header({"a", "b", "c"});

@@ -1,6 +1,6 @@
 // Ultra-high-D smoke test: a rematerialized encoder makes D = 262144
 // practical — the materialized plane for 32 features at that D would keep
-// 2 MB of packed signs resident; the rematerialized one holds a seed.
+// 1 MB of packed signs resident; the rematerialized one holds a seed.
 // Exercises the full fit + predict path, not just the encoder.
 #include <gtest/gtest.h>
 

@@ -16,10 +16,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_model_path(const char* name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
 MemhdConfig small_config() {
   MemhdConfig cfg;
   cfg.dim = 128;
@@ -36,7 +32,7 @@ TEST(Serialize, RoundTripPreservesPredictions) {
                    split.train.num_classes());
   model.fit(split.train);
 
-  const std::string path = temp_model_path("memhd_roundtrip.model");
+  const std::string path = testing::temp_path("memhd_roundtrip.model");
   model.save(path);
   const MemhdModel loaded = MemhdModel::load(path);
   std::remove(path.c_str());
@@ -59,7 +55,7 @@ TEST(Serialize, RoundTripPreservesConfig) {
   MemhdModel model(cfg, split.train.num_features(),
                    split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_model_path("memhd_config.model");
+  const std::string path = testing::temp_path("memhd_config.model");
   model.save(path);
   const MemhdModel loaded = MemhdModel::load(path);
   std::remove(path.c_str());
@@ -78,7 +74,7 @@ TEST(Serialize, RoundTripPreservesFpShadow) {
   MemhdModel model(small_config(), split.train.num_features(),
                    split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_model_path("memhd_fp.model");
+  const std::string path = testing::temp_path("memhd_fp.model");
   model.save(path);
   const MemhdModel loaded = MemhdModel::load(path);
   std::remove(path.c_str());
@@ -90,7 +86,7 @@ TEST(Serialize, MissingFileThrows) {
 }
 
 TEST(Serialize, BadMagicThrows) {
-  const std::string path = temp_model_path("memhd_badmagic.model");
+  const std::string path = testing::temp_path("memhd_badmagic.model");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTAMODELFILE_________";
@@ -104,7 +100,7 @@ TEST(Serialize, TruncatedFileThrows) {
   MemhdModel model(small_config(), split.train.num_features(),
                    split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_model_path("memhd_trunc.model");
+  const std::string path = testing::temp_path("memhd_trunc.model");
   model.save(path);
   // Chop the file in half.
   const auto size = fs::file_size(path);
@@ -121,7 +117,7 @@ TEST(Serialize, RematRoundTripPreservesEverything) {
                    split.train.num_classes());
   model.fit(split.train);
 
-  const std::string path = temp_model_path("memhd_remat.model");
+  const std::string path = testing::temp_path("memhd_remat.model");
   model.save(path);
   const MemhdModel loaded = MemhdModel::load(path);
   std::remove(path.c_str());
@@ -254,7 +250,7 @@ TEST(SerializeLayout, Memhd003HeaderWithThresholdCascade) {
 
 TEST(Serialize, SaveUnfittedModelDies) {
   MemhdModel model(small_config(), 16, 4);
-  EXPECT_DEATH(model.save(temp_model_path("never.model")), "precondition");
+  EXPECT_DEATH(model.save(testing::temp_path("never.model")), "precondition");
 }
 
 }  // namespace

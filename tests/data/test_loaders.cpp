@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "src/common/rng.hpp"
+#include "test_util.hpp"
 
 namespace memhd::data {
 namespace {
@@ -46,7 +47,7 @@ void write_idx_labels(const fs::path& path, std::uint32_t n) {
 class LoadersTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "memhd_loader_test";
+    dir_ = testing::temp_path("memhd_loader_test");
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -1,5 +1,5 @@
 // Property tests for the basis-provider seam: a rematerialized plane is
-// bit-identical to the materialized one — for raw words, packed rows, EM
+// bit-identical to the materialized one — for feature-major words, EM
 // tiles, and every encoder surface built on them — while holding O(1)
 // resident memory.
 #include "src/hdc/basis_provider.hpp"
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bitops.hpp"
 #include "src/common/rng.hpp"
 #include "src/hdc/projection_encoder.hpp"
 
@@ -19,7 +20,7 @@ namespace {
 
 // Odd, boundary-hugging shapes: single cell, one-word rows, exactly
 // word-aligned rows, multi-word rows with tails, and dims at, just past and
-// short of the encode kernel's four-dimension group.
+// short of one 64-dimension word.
 const std::pair<std::size_t, std::size_t> kOddShapes[] = {
     {1, 1},  {3, 65}, {17, 127}, {33, 128}, {100, 257},
     {64, 4}, {65, 5}, {257, 3}};
@@ -50,22 +51,28 @@ common::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// Test-local reference for the dense projection, independent of the
-// encoder's blocked kernel: expand the basis words to +/-1 and add w * x[f]
-// in ascending f from +0.0f.
+// Word w of output dimension d in the frozen counter stream, tail masked:
+// read straight from basis_word, which the golden-value tests pin.
+std::uint64_t stream_word(const BasisProvider& basis, std::size_t d,
+                          std::size_t w) {
+  const std::size_t wpr = basis.words_per_row();
+  std::uint64_t word = basis_word(basis.seed(), d * wpr + w);
+  if (w + 1 == wpr) word &= common::tail_mask(basis.num_features());
+  return word;
+}
+
+// Test-local reference for the projection, independent of the encoder's
+// kernel and of the provider's accessor: expand the stream's words to +/-1
+// and add w * x[f] in ascending f from +0.0f.
 std::vector<float> reference_project(const BasisProvider& basis,
                                      std::span<const float> x) {
-  const std::size_t wpr = basis.words_per_row();
-  std::vector<std::uint32_t> all(wpr);
-  for (std::size_t w = 0; w < wpr; ++w) all[w] = static_cast<std::uint32_t>(w);
-  std::vector<std::uint64_t> words(wpr);
   std::vector<float> h(basis.dim());
   for (std::size_t d = 0; d < basis.dim(); ++d) {
-    basis.sign_words(d, all.data(), wpr, words.data());
     float acc = 0.0f;
-    for (std::size_t f = 0; f < x.size(); ++f) {
-      const float w = (words[f >> 6] >> (f & 63)) & 1ULL ? 1.0f : -1.0f;
-      acc += w * x[f];
+    for (std::size_t w = 0; w < basis.words_per_row(); ++w) {
+      const std::uint64_t word = stream_word(basis, d, w);
+      for (std::size_t f = w * 64; f < std::min(x.size(), w * 64 + 64); ++f)
+        acc += ((word >> (f & 63)) & 1ULL ? 1.0f : -1.0f) * x[f];
     }
     h[d] = acc;
   }
@@ -88,9 +95,9 @@ common::BitVector reference_binarize(const std::vector<float>& h,
   return bits;
 }
 
-// The four row kinds of the reference table: 0 dense, 1 sparse (the most
-// non-zeros that stay strictly below the nnz * 4 <= f cutoff, so project()
-// takes its sparse path), 2 dense with one -0.0f entry, 3 all zeros.
+// The row kinds of the reference table: 0 dense, 1 sparse (one non-zero in
+// four features), 2 dense with one -0.0f entry, 3 all zeros, 4 a single
+// non-zero feature.
 std::vector<float> reference_row(std::size_t kind, std::size_t nf,
                                  common::Rng& rng) {
   std::vector<float> x(nf, 0.0f);
@@ -100,8 +107,16 @@ std::vector<float> reference_row(std::size_t kind, std::size_t nf,
   if (kind == 1)
     for (std::size_t i = 0; i < (nf - 1) / 4; ++i) x[4 * i + 3] = value();
   if (kind == 2) x[nf / 2] = -0.0f;
+  if (kind == 4) x[nf / 3] = value();
   return x;
 }
+
+// Row kinds by row index, laid out so the kernel's four-row groups mix
+// them: rows 0-3 put an all-zero row among dense rows, whose features the
+// kernel must still add for the other rows; the rest cycle every kind
+// through every group position, and row 16 starts a second 16-row chunk.
+const std::size_t kRowKinds[] = {0, 3, 2, 0, 4, 1, 0, 2, 3,
+                                 0, 0, 4, 1, 2, 0, 3, 4};
 
 // ------------------------------------------------------- the counter stream
 
@@ -147,23 +162,12 @@ TEST(BasisWord, BulkFormMatchesScalarAtEveryAlignment) {
 
 // ------------------------------------------------- provider-level identity
 
-TEST(BasisProvider, WordsRowsAndTilesIdenticalAcrossKinds) {
+TEST(BasisProvider, EmTilesIdenticalAcrossKinds) {
   for (const auto& [nf, dim] : kOddShapes) {
     const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 9);
     const auto rem =
         make_basis_provider(BasisKind::kRematerialized, dim, nf, 9);
     ASSERT_EQ(mat->words_per_row(), rem->words_per_row());
-    const std::size_t wpr = mat->words_per_row();
-
-    std::vector<std::uint32_t> all_words(wpr);
-    for (std::size_t w = 0; w < wpr; ++w)
-      all_words[w] = static_cast<std::uint32_t>(w);
-    std::vector<std::uint64_t> wm(wpr), wr(wpr);
-    for (std::size_t d = 0; d < dim; ++d) {
-      mat->sign_words(d, all_words.data(), wpr, wm.data());
-      rem->sign_words(d, all_words.data(), wpr, wr.data());
-      EXPECT_EQ(wm, wr) << "shape " << nf << "x" << dim << " row " << d;
-    }
 
     // Full-plane tile and an interior, unaligned tile.
     EXPECT_TRUE(mat->em_tile(0, nf, 0, dim) == rem->em_tile(0, nf, 0, dim));
@@ -174,53 +178,47 @@ TEST(BasisProvider, WordsRowsAndTilesIdenticalAcrossKinds) {
   }
 }
 
-TEST(BasisProvider, SignRowsMatchSignWordsAcrossKindsAndGroupSizes) {
-  // sign_rows is the blocked encode kernel's bulk surface: row-major packed
-  // words for a whole row group, identical across providers and equal word
-  // for word to the per-row sign_words accessor, at every group size the
-  // kernel uses (1 and 4) plus odd and overshooting splits.
+TEST(BasisProvider, FeatureWordsMatchTheCounterStream) {
+  // feature_words is the encode kernel's only view of the plane. For both
+  // kinds, at tiles of 1, 2 and every dimension word (the last tile of a
+  // split may be narrower), bit d % 64 of feature f's word must be bit f of
+  // the stream's word for dimension d, and every bit for d >= D must be 0
+  // — a set padding bit would be a phantom +1 weight.
   for (const auto& [nf, dim] : kOddShapes) {
-    const auto mat = make_basis_provider(BasisKind::kMaterialized, dim, nf, 9);
-    const auto rem =
-        make_basis_provider(BasisKind::kRematerialized, dim, nf, 9);
-    const std::size_t wpr = mat->words_per_row();
-    std::vector<std::uint32_t> all_words(wpr);
-    for (std::size_t w = 0; w < wpr; ++w)
-      all_words[w] = static_cast<std::uint32_t>(w);
-    for (const std::size_t group : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{4}, dim}) {
-      if (group > dim) continue;
-      for (std::size_t d0 = 0; d0 + group <= dim;
-           d0 += std::max<std::size_t>(group, dim / 3 + 1)) {
-        std::vector<std::uint64_t> bulk_m(group * wpr, ~0ULL);
-        std::vector<std::uint64_t> bulk_r(group * wpr, ~0ULL);
-        mat->sign_rows(d0, group, bulk_m.data());
-        rem->sign_rows(d0, group, bulk_r.data());
-        EXPECT_EQ(bulk_m, bulk_r)
-            << "shape " << nf << "x" << dim << " rows [" << d0 << ", "
-            << d0 + group << ")";
-        std::vector<std::uint64_t> row(wpr);
-        for (std::size_t i = 0; i < group; ++i) {
-          mat->sign_words(d0 + i, all_words.data(), wpr, row.data());
-          for (std::size_t w = 0; w < wpr; ++w)
-            ASSERT_EQ(bulk_m[i * wpr + w], row[w])
-                << "shape " << nf << "x" << dim << " row " << d0 + i
-                << " word " << w;
+    const std::size_t dim_words = (dim + 63) / 64;
+    for (const BasisKind kind :
+         {BasisKind::kMaterialized, BasisKind::kRematerialized}) {
+      const auto basis = make_basis_provider(kind, dim, nf, 9);
+      for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                      dim_words}) {
+        for (std::size_t w0 = 0; w0 < dim_words; w0 += width) {
+          const std::size_t count = std::min(width, dim_words - w0);
+          std::vector<std::uint64_t> scratch;
+          const SignTile tile = basis->feature_words(w0, count, scratch);
+          for (std::size_t f = 0; f < nf; ++f) {
+            for (std::size_t i = 0; i < count; ++i) {
+              std::uint64_t want = 0;
+              for (std::size_t b = 0; b < 64; ++b) {
+                const std::size_t d = (w0 + i) * 64 + b;
+                if (d < dim && (stream_word(*basis, d, f / 64) >> (f % 64)) & 1)
+                  want |= 1ULL << b;
+              }
+              ASSERT_EQ(tile.words[f * tile.stride + i], want)
+                  << "shape " << nf << "x" << dim << " kind "
+                  << static_cast<int>(kind) << " width " << width
+                  << " feature " << f << " word " << w0 + i;
+            }
+          }
         }
       }
+      // em_tile reads the same bits at an unaligned interior tile.
+      const auto tile = basis->em_tile(nf / 2, nf, dim / 3, dim);
+      for (std::size_t f = nf / 2; f < nf; ++f)
+        for (std::size_t d = dim / 3; d < dim; ++d)
+          ASSERT_EQ(tile.get(f - nf / 2, d - dim / 3),
+                    ((stream_word(*basis, d, f / 64) >> (f % 64)) & 1) != 0)
+              << "shape " << nf << "x" << dim << " cell " << f << "," << d;
     }
-  }
-}
-
-TEST(BasisProvider, TailBitsAreMasked) {
-  // Padding bits past num_features must be zero in every word surface, or
-  // packed popcount-based consumers would see phantom features.
-  const auto rem = make_basis_provider(BasisKind::kRematerialized, 8, 65, 3);
-  const std::uint32_t last = 1;  // word 1 covers feature 64 (+63 pad bits)
-  std::uint64_t word = ~0ULL;
-  for (std::size_t d = 0; d < 8; ++d) {
-    rem->sign_words(d, &last, 1, &word);
-    EXPECT_EQ(word & ~3ULL, 0ULL) << "row " << d;  // bits 1..63 of word 1
   }
 }
 
@@ -232,11 +230,11 @@ TEST(BasisProvider, ResidentBytesContrast) {
   EXPECT_EQ(mat->model_bits(), nf * dim);
   EXPECT_EQ(rem->model_bits(), nf * dim);
   // ...but only one of them pays for it in software. The materialized plane
-  // is its object plus the packed bits, ceil(f / 64) words per row; the
+  // is its object plus the packed bits, f rows of ceil(D / 64) words; the
   // rematerialized plane is a few dozen bytes of object header.
   EXPECT_EQ(mat->resident_bytes(),
             sizeof(MaterializedBasis) +
-                dim * ((nf + 63) / 64) * sizeof(std::uint64_t));
+                nf * ((dim + 63) / 64) * sizeof(std::uint64_t));
   EXPECT_LE(rem->resident_bytes(), 64u);
 }
 
@@ -269,22 +267,25 @@ TEST(RematEncoder, EncodeIdenticalToMaterializedOverOddShapes) {
       }
 
       // Both bases against the test-local reference, one row at a time and
-      // at batch counts around the 16-row block, over every row kind.
+      // at batch counts around the four-row group and the 16-row chunk,
+      // over every row kind.
       for (const ProjectionEncoder* enc : {&mat, &rem}) {
-        for (const std::size_t batch : {1UL, 15UL, 16UL, 17UL}) {
+        for (const std::size_t batch :
+             {1UL, 2UL, 3UL, 4UL, 5UL, 7UL, 8UL, 15UL, 16UL, 17UL}) {
           common::Matrix features(batch, nf);
           std::vector<common::BitVector> expected;
           for (std::size_t r = 0; r < batch; ++r) {
-            const auto x = reference_row(r % 4, nf, rng);
+            const std::size_t kind = kRowKinds[r];
+            const auto x = reference_row(kind, nf, rng);
             std::copy(x.begin(), x.end(), features.row(r).begin());
             const auto h = reference_project(enc->basis(), x);
             const auto ph = enc->project(x);
             for (std::size_t d = 0; d < dim; ++d)
               ASSERT_EQ(ph[d], h[d])
-                  << nf << "x" << dim << " kind " << r % 4 << " dim " << d;
+                  << nf << "x" << dim << " kind " << kind << " dim " << d;
             expected.push_back(reference_binarize(h, mode));
             ASSERT_TRUE(enc->encode(x) == expected.back())
-                << nf << "x" << dim << " kind " << r % 4;
+                << nf << "x" << dim << " kind " << kind;
           }
           const auto got = enc->encode_batch(features);
           for (std::size_t r = 0; r < batch; ++r)
@@ -314,12 +315,12 @@ TEST(RematEncoder, EncodeBatchIdenticalAtOddCounts) {
   }
 }
 
-TEST(RematEncoder, SparsePathMatchesManualDenseDot) {
-  // Mostly-zero input (below the 1/4 density cutoff) routes project()
-  // through the word-skipping sparse path; it must equal the naive dense
-  // accumulation bit for bit — including a -0.0f input, which the sparse
-  // path skips and the dense path adds as a signed zero (a no-op on an
-  // accumulator that starts at +0).
+TEST(RematEncoder, MostlyZeroRowMatchesReference) {
+  // Mostly-zero input: the kernel adds only the features that are non-zero
+  // in the row, and must still equal the reference's full accumulation bit
+  // for bit — including a -0.0f input, which the kernel skips and the
+  // reference adds as a signed zero (a no-op on an accumulator that starts
+  // at +0).
   const std::size_t nf = 257, dim = 65;
   for (const BasisKind kind :
        {BasisKind::kMaterialized, BasisKind::kRematerialized}) {
@@ -330,56 +331,34 @@ TEST(RematEncoder, SparsePathMatchesManualDenseDot) {
     x[65] = 2.0f;
     x[200] = 0.25f;
     x[nf - 1] = 1.0f;
-    x[100] = -0.0f;  // negative zero: skipped by the sparse path
+    x[100] = -0.0f;  // negative zero: skipped by the kernel
     const auto h = enc.project(x);
-    std::vector<std::uint32_t> all(enc.basis().words_per_row());
-    for (std::size_t w = 0; w < all.size(); ++w)
-      all[w] = static_cast<std::uint32_t>(w);
-    std::vector<std::uint64_t> words(all.size());
-    for (std::size_t d = 0; d < dim; ++d) {
-      enc.basis().sign_words(d, all.data(), all.size(), words.data());
-      float acc = 0.0f;
-      for (std::size_t f = 0; f < nf; ++f) {
-        const bool pos = (words[f >> 6] >> (f & 63)) & 1ULL;
-        acc += (pos ? 1.0f : -1.0f) * x[f];
-      }
-      ASSERT_EQ(h[d], acc) << "kind " << static_cast<int>(kind) << " dim "
-                           << d;
-    }
+    const auto want = reference_project(enc.basis(), x);
+    for (std::size_t d = 0; d < dim; ++d)
+      ASSERT_EQ(h[d], want[d]) << "kind " << static_cast<int>(kind)
+                               << " dim " << d;
   }
 }
 
-TEST(RematEncoder, SparseAndDensePathsAgreeAtTheCutoff) {
-  // Same feature vector pushed through both paths by toggling one value
-  // across the nnz * 4 <= nf boundary: results must stay consistent with
-  // the manual reference either way (regression guard for the dispatch).
+TEST(RematEncoder, EachAddedNonZeroFeatureMatchesReference) {
+  // The same feature vector at nf/4 non-zeros and again with one more:
+  // each projection must match the reference for its own input, so the
+  // zero skip drops exactly the zero features.
   const std::size_t nf = 64, dim = 32;
   const ProjectionEncoder enc(
       make_config(nf, dim, BasisKind::kRematerialized));
   common::Rng rng(5);
   std::vector<float> x(nf, 0.0f);
-  for (std::size_t f = 0; f < 16; ++f)  // exactly nf/4 non-zeros: sparse
+  for (std::size_t f = 0; f < 16; ++f)  // exactly nf/4 non-zeros
     x[f * 4] = static_cast<float>(rng.uniform());
   const auto sparse_h = enc.project(x);
-  x[1] = 0.5f;  // 17 non-zeros: dense
+  const auto sparse_want = reference_project(enc.basis(), x);
+  x[1] = 0.5f;  // 17 non-zeros
   const auto dense_h = enc.project(x);
+  const auto dense_want = reference_project(enc.basis(), x);
   for (std::size_t d = 0; d < dim; ++d) {
-    // dense result differs from sparse by exactly the one added term's
-    // contribution being present; recompute both manually
-    std::vector<std::uint32_t> all(enc.basis().words_per_row());
-    for (std::size_t w = 0; w < all.size(); ++w)
-      all[w] = static_cast<std::uint32_t>(w);
-    std::vector<std::uint64_t> words(all.size());
-    enc.basis().sign_words(d, all.data(), all.size(), words.data());
-    float acc_sparse = 0.0f, acc_dense = 0.0f;
-    for (std::size_t f = 0; f < nf; ++f) {
-      const bool pos = (words[f >> 6] >> (f & 63)) & 1ULL;
-      const float w = pos ? 1.0f : -1.0f;
-      acc_dense += w * x[f];
-      if (f != 1) acc_sparse += w * x[f];
-    }
-    ASSERT_EQ(sparse_h[d], acc_sparse) << "dim " << d;
-    ASSERT_EQ(dense_h[d], acc_dense) << "dim " << d;
+    ASSERT_EQ(sparse_h[d], sparse_want[d]) << "dim " << d;
+    ASSERT_EQ(dense_h[d], dense_want[d]) << "dim " << d;
   }
 }
 

@@ -36,19 +36,22 @@ TEST(ProjectionEncoder, DeterministicAcrossInstances) {
   common::Rng rng(3);
   const auto x = random_features(32, rng);
   EXPECT_TRUE(a.encode(x) == b.encode(x));
-  EXPECT_TRUE(a.sign_matrix() == b.sign_matrix());
+  EXPECT_TRUE(a.basis().em_tile(0, 32, 0, 256) ==
+              b.basis().em_tile(0, 32, 0, 256));
 }
 
 TEST(ProjectionEncoder, SeedChangesMatrix) {
   const ProjectionEncoder a(make_config(32, 256, 1));
   const ProjectionEncoder b(make_config(32, 256, 2));
-  EXPECT_FALSE(a.sign_matrix() == b.sign_matrix());
+  EXPECT_FALSE(a.basis().em_tile(0, 32, 0, 256) ==
+               b.basis().em_tile(0, 32, 0, 256));
 }
 
 TEST(ProjectionEncoder, SignMatrixRoughlyBalanced) {
   const ProjectionEncoder enc(make_config(64, 1024));
   const double density =
-      static_cast<double>(enc.sign_matrix().popcount()) / (64.0 * 1024.0);
+      static_cast<double>(enc.basis().em_tile(0, 64, 0, 1024).popcount()) /
+      (64.0 * 1024.0);
   EXPECT_NEAR(density, 0.5, 0.02);
 }
 
@@ -71,10 +74,11 @@ TEST(ProjectionEncoder, ProjectMatchesManualMvm) {
   const auto x = random_features(8, rng);
   const auto h = enc.project(x);
   ASSERT_EQ(h.size(), 16u);
+  const auto signs = enc.basis().em_tile(0, 8, 0, 16);  // cell (f, d)
   for (std::size_t d = 0; d < 16; ++d) {
     float acc = 0.0f;
     for (std::size_t i = 0; i < 8; ++i)
-      acc += (enc.sign_matrix().get(d, i) ? 1.0f : -1.0f) * x[i];
+      acc += (signs.get(i, d) ? 1.0f : -1.0f) * x[i];
     EXPECT_EQ(h[d], acc);
   }
 }

@@ -4,7 +4,6 @@
 // and the hot-swap hammer with per-shard pinned prescreen planes.
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -23,10 +22,6 @@
 
 namespace memhd::search {
 namespace {
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 core::MemhdConfig cascade_config() {
   core::MemhdConfig cfg;
@@ -111,7 +106,7 @@ TEST(CascadeModel, SerializeRoundTripsCascadeConfig) {
                          split.train.num_classes());
   model.fit(split.train);
 
-  const std::string path = temp_path("memhd_cascade.model");
+  const std::string path = testing::temp_path("memhd_cascade.model");
   model.save(path);
   const core::MemhdModel loaded = core::MemhdModel::load(path);
   std::remove(path.c_str());
@@ -139,7 +134,7 @@ TEST(CascadeModel, DisabledConfigRoundTripsDisabled) {
   core::MemhdModel model(cfg, split.train.num_features(),
                          split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_path("memhd_nocascade.model");
+  const std::string path = testing::temp_path("memhd_nocascade.model");
   model.save(path);
   const core::MemhdModel loaded = core::MemhdModel::load(path);
   std::remove(path.c_str());
@@ -156,7 +151,7 @@ TEST(CascadeModel, RetiredExactModeByteLoadsDisabled) {
   core::MemhdModel model(cfg, split.train.num_features(),
                          split.train.num_classes());
   model.fit(split.train);
-  const std::string path = temp_path("memhd_exact_mode.model");
+  const std::string path = testing::temp_path("memhd_exact_mode.model");
   model.save(path);
   {
     // Offset 81 is the enabled byte, 82 the mode byte.
@@ -196,7 +191,7 @@ TEST(CascadeApi, ClassifierKnobsReachTheModelAndSurviveSaveLoad) {
   for (std::size_t i = 0; i < split.test.size(); ++i)
     ASSERT_EQ(clf->predict(split.test.sample(i)), batch[i]);
 
-  const std::string path = temp_path("memhd_cascade_api.model");
+  const std::string path = testing::temp_path("memhd_cascade_api.model");
   clf->save(path);
   const auto loaded = api::load(path);
   std::remove(path.c_str());

@@ -1,8 +1,18 @@
 #include "test_util.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "src/common/rng.hpp"
 
 namespace memhd::testing {
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (name + "." + std::to_string(::getpid())))
+      .string();
+}
 
 data::TrainTestSplit tiny_multimodal(std::uint64_t seed,
                                      std::size_t train_per_class,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -50,6 +49,11 @@ hdc::EncodedDataset clustered_encoded(std::size_t per_class, std::size_t dim,
                                       std::size_t noise_bits,
                                       std::uint64_t seed = 5);
 
+/// `name` under the system temp directory with this process's id
+/// appended: ctest runs each test binary at two pool sizes at once, so a
+/// temp-file name fixed per test would be shared by the two processes.
+std::string temp_path(const std::string& name);
+
 /// Lower-case hex of the first `n` bytes of `bytes` (all of them if
 /// shorter): the form the on-disk layout pins compare against.
 std::string hex_prefix(const std::string& bytes, std::size_t n);
@@ -72,12 +76,10 @@ void expect_load_error(const std::string& bytes, const std::string& needle,
   };
   std::istringstream in(bytes, std::ios::binary);
   check(static_cast<std::istream&>(in), "stream");
-  // One file per test: ctest runs the suites' binaries in parallel.
+  // One file per test and process: ctest runs the binaries in parallel.
   const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       (std::string(test->test_suite_name()) + "." + test->name() + ".bin"))
-          .string();
+  const std::string path = temp_path(std::string(test->test_suite_name()) +
+                                     "." + test->name() + ".bin");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -41,6 +41,11 @@ Four record shapes are understood, keyed on the "bench" field:
   clone/publish costs may not grow past --swap-factor x baseline
   (normalized the same way).
 
+--baseline-dir defaults to bench/baselines next to this script, so the gate
+finds the committed baselines from any working directory. A --baseline-dir
+that does not exist FAILS, naming the path, for every record kind (with
+--update the directory is created instead).
+
 Every record kind that reads a baseline FAILS when the record's "threads"
 differs from the baseline's, or when either side lacks the field: every
 gated number moves with the thread count, so only runs at the baseline's
@@ -92,6 +97,8 @@ import json
 import pathlib
 import sys
 
+DEFAULT_BASELINE_DIR = pathlib.Path(__file__).resolve().parent.parent / \
+    "bench" / "baselines"
 BATCH_KEY = "batch_queries_per_sec"
 SCALAR_KEY = "scalar_queries_per_sec"
 
@@ -354,7 +361,7 @@ def check_online(current, args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="freshly produced bench JSON")
-    parser.add_argument("--baseline-dir", default="bench/baselines")
+    parser.add_argument("--baseline-dir", default=str(DEFAULT_BASELINE_DIR))
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="allowed fractional drop in normalized q/s")
     parser.add_argument("--serve-factor", type=float, default=3.0,
@@ -370,6 +377,9 @@ def main():
                              "new committed baseline")
     args = parser.parse_args()
     args.update = args.update or args.write_baseline
+    if not args.update and not pathlib.Path(args.baseline_dir).is_dir():
+        print(f"FAIL: baseline directory {args.baseline_dir} does not exist")
+        return 1
 
     current = load(args.current)
     if current.get("bench") == "serve":
